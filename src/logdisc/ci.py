@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import ParamIdeal, buchberger, coordinates, standard_basis
-from .hyper import (NotQuasihomogeneousError, WeightSystem, _solve_weights)
+from .hyper import (NotQuasihomogeneousError, _solve_weights,
+                    structure_constants, tau_form)
 from .matrix import PolyMatrix, det_bareiss
 from .poly import Polynomial
 
@@ -113,39 +114,15 @@ def ci_tables(spec, mi, basis_hint=None):
     vt = spec.vt
     gb = buchberger(mi.combined)
     qb = standard_basis(gb, ordering_hint=basis_hint)
-    mu = qb.mu
-    phis = qb.polynomials()
-    zero = Polynomial.zero(vt)
-    W = [[[zero] * mu for _ in range(mu)] for _ in range(mu)]
-    for i in range(mu):
-        for j in range(i, mu):
-            coords = coordinates(phis[i] * phis[j], gb, qb)
-            for l in range(mu):
-                W[l][i][j] = coords[l]
-                W[l][j][i] = coords[l]
-    W = [PolyMatrix(vt, w) for w in W]
-    uname = spec.u
-    for w in W:
-        for row in w.entries:
-            for e in row:
-                if e.degree_in(uname) > 0:
-                    raise ValueError("structure constants must not involve u")
-    zeta = []
-    for c in range(mu):
-        acc = zero
-        for l in range(mu):
-            acc = acc + W[l][c, l]
-        zeta.append(acc)
-    T = PolyMatrix.zeros(vt, mu, mu)
-    for c in range(mu):
-        T = T + W[c].scale(zeta[c])
-    rows = [coordinates(spec.maps[0] * phi, gb, qb) for phi in phis]
+    W, zeta = structure_constants(gb, qb, spec.u)
+    T = PolyMatrix(vt, tau_form([w.entries for w in W], zeta))
+    rows = [coordinates(spec.maps[0] * phi, gb, qb) for phi in qb.polynomials()]
     P = PolyMatrix(vt, rows)
-    u = Polynomial.var(vt, uname)
-    shifted = P + PolyMatrix.identity(vt, mu).scale(u)
+    u = Polynomial.var(vt, spec.u)
+    shifted = P + PolyMatrix.identity(vt, qb.mu).scale(u)
     for row in shifted.entries:
         for e in row:
-            if e.degree_in(uname) > 0:
+            if e.degree_in(spec.u) > 0:
                 raise AssertionError("P + u*Id must be free of u")
     return CITables(qb, gb, P, W, zeta, T)
 

@@ -13,7 +13,7 @@ from . import hyper as hy
 from .groebner import NonConstantScaleError, InfiniteQuotientError
 from .inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                       euler_characteristics, inertia)
-from .matrix import PolyMatrix, det_bareiss
+from .matrix import det_bareiss, mat_mul
 from .oracle import find_critical_points, grid_euler
 from .parse import PolyParseError, parse_poly
 from .poly import Polynomial, VarTable
@@ -159,7 +159,7 @@ def _mat(m):
     return [[str(e) for e in row] for row in m.entries]
 
 
-def _basis_strings(qb, vt):
+def _basis_strings(qb):
     return [str(p) for p in qb.polynomials()]
 
 
@@ -188,7 +188,7 @@ def cmd_tables(loaded, args):
     spec = loaded.hyper_spec()
     tables = hy.mul_tables(spec)
     out = {"mu": spec.mu,
-           "basis": _basis_strings(spec.basis, spec.vt),
+           "basis": _basis_strings(spec.basis),
            "tau": [_mat(t) for t in tables.tau],
            "zeta": [str(z) for z in tables.zeta]}
 
@@ -205,7 +205,7 @@ def cmd_tables(loaded, args):
 def cmd_logfields(loaded, args):
     spec, ws, tables, logm = _hyper_bundle(loaded)
     out = {"mu": spec.mu,
-           "basis": _basis_strings(spec.basis, spec.vt),
+           "basis": _basis_strings(spec.basis),
            "Sigma": _mat(logm.sigma),
            "detSigma": str(logm.discriminant)}
 
@@ -262,9 +262,9 @@ def cmd_traceforms(loaded, args):
 def cmd_euler(loaded, args):
     spec, ws, tables, logm = _hyper_bundle(loaded)
     point = parse_param_point(args.params or "", spec.vt)
-    tf = hy.trace_forms(spec, ws, tables, logm)
-    bh = SymMatrixQ.from_poly_matrix(tf.BH, point)
-    bhf = SymMatrixQ.from_poly_matrix(tf.BHF, point)
+    tau, T, sigma = hy.forms_at(tables.tau, logm.sigma, point)
+    bh, bhf = map(SymMatrixQ,
+                  hy.hessian_forms_at(spec, tau, T, sigma, point))
     rep = euler_characteristics(bh, bhf, spec.vt.nx)
     out = {"mu": spec.mu,
            "inertia": {"BH": _triple(inertia(bh)), "BHF": _triple(inertia(bhf))},
@@ -288,8 +288,8 @@ def _triple(tri):
 def cmd_count(loaded, args):
     spec, ws, tables, logm = _hyper_bundle(loaded)
     point = parse_param_point(args.params or "", spec.vt)
-    st = SymMatrixQ.from_poly_matrix(logm.sigma * hy.tables_T(logm, tables),
-                                     point)
+    _, T, sigma = hy.forms_at(tables.tau, logm.sigma, point)
+    st = SymMatrixQ(mat_mul(sigma, T))
     signed = critical_count(st)
     out = {"mu": spec.mu, "inertia": _triple(inertia(st)), "count": signed}
     _emit(out, args,
@@ -307,7 +307,7 @@ def _ci_bundle(loaded):
 def cmd_ci_tables(loaded, args):
     cspec, mi, tables = _ci_bundle(loaded)
     out = {"mu": tables.mu,
-           "basis": _basis_strings(tables.phi, cspec.vt),
+           "basis": _basis_strings(tables.phi),
            "tau": [_mat(w) for w in tables.W],
            "zeta": [str(z) for z in tables.zeta],
            "T": _mat(tables.T),
@@ -337,7 +337,8 @@ def cmd_ci_discriminant(loaded, args):
 def cmd_ci_count(loaded, args):
     cspec, mi, tables = _ci_bundle(loaded)
     point = parse_param_point(args.params or "", cspec.vt)
-    pt_mat = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
+    _, T, P = hy.forms_at(tables.W, tables.P, point)
+    pt_mat = SymMatrixQ(mat_mul(P, T))
     signed = critical_count(pt_mat)
     out = {"mu": tables.mu, "inertia": _triple(inertia(pt_mat)),
            "count": signed}
@@ -369,9 +370,8 @@ def cmd_oracle_check(loaded, args):
     if loaded.kind == "hypersurface":
         spec, ws, tables, logm = _hyper_bundle(loaded)
         point = parse_param_point(point_text, spec.vt)
-        st = SymMatrixQ.from_poly_matrix(
-            logm.sigma * hy.tables_T(logm, tables), point)
-        exact = critical_count(st)
+        tau, T, sigma = hy.forms_at(tables.tau, logm.sigma, point)
+        exact = critical_count(SymMatrixQ(mat_mul(sigma, T)))
         rep = find_critical_points(spec.F, point, spec.mu,
                                    ball_radius=args.ball)
         out = {"mu": spec.mu,
@@ -380,9 +380,8 @@ def cmd_oracle_check(loaded, args):
                           "exact_signature": exact,
                           "agree": rep.signed_count == exact}}
         if spec.vt.nx <= 2:
-            tf = hy.trace_forms(spec, ws, tables, logm)
-            bh = SymMatrixQ.from_poly_matrix(tf.BH, point)
-            bhf = SymMatrixQ.from_poly_matrix(tf.BHF, point)
+            bh, bhf = map(SymMatrixQ,
+                          hy.hessian_forms_at(spec, tau, T, sigma, point))
             chi = euler_characteristics(bh, bhf, spec.vt.nx)
             g = grid_euler(spec.F, point, ball_radius=args.ball,
                            resolution=args.resolution)
@@ -395,8 +394,8 @@ def cmd_oracle_check(loaded, args):
     else:
         cspec, mi, tables = _ci_bundle(loaded)
         point = parse_param_point(point_text, cspec.vt)
-        pt_mat = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
-        exact = critical_count(pt_mat)
+        _, T, P = hy.forms_at(tables.W, tables.P, point)
+        exact = critical_count(SymMatrixQ(mat_mul(P, T)))
         rep = find_critical_points(cspec.maps[0], point, tables.mu,
                                    ball_radius=args.ball,
                                    constraints=cspec.maps[1:])

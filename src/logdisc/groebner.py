@@ -56,10 +56,6 @@ class ParamIdeal:
         return self.generators[0].vt
 
 
-def _x_part(m, nx):
-    return m[:nx]
-
-
 def _split_x(p):
     """Group terms by x-monomial: x-exponents -> parameter-coefficient poly."""
     nx = p.vt.nx
@@ -159,9 +155,6 @@ class QuotientBasis:
     def polynomials(self):
         pad = (0,) * (self.vt.nvars - self.vt.nx)
         return [Polynomial(self.vt, {m + pad: Fraction(1)}) for m in self.monomials]
-
-    def index_of(self, xm):
-        return self.monomials.index(xm)
 
 
 def reduce_poly(p, gb):

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import gcd
 
-from .groebner import (ParamIdeal, buchberger, coordinates, normal_form,
-                       remainder_coordinates, standard_basis)
-from .matrix import PolyMatrix, det_bareiss, discriminant
+from .groebner import ParamIdeal, buchberger, coordinates, standard_basis
+from .matrix import PolyMatrix, det_bareiss, discriminant, mat_mul, mat_vec
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
 
 
@@ -63,11 +64,11 @@ def _solve_weights(monos, nx):
                 v = [-c for c in v]
             den = 1
             for c in v:
-                den = den * c.denominator // _gcd(den, c.denominator)
+                den = den * c.denominator // gcd(den, c.denominator)
             ints = [int(c * den) for c in v]
             g = 0
             for c in ints:
-                g = _gcd(g, c)
+                g = gcd(g, c)
             return [c // g for c in ints]
         return None
     # underdetermined: search small positive integer solutions
@@ -78,11 +79,6 @@ def _solve_weights(monos, nx):
             if all(sum(di * wi for di, wi in zip(d, w)) == 0 for d in diffs):
                 return list(w)
     return None
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _rational_nullspace(rows, n):
@@ -182,42 +178,70 @@ class MulTables:
         return len(self.tau)
 
 
-def mul_tables(spec):
-    """Structure constants tau and traces zeta of the quotient algebra."""
-    es = spec.basis_polys()
-    mu = spec.mu
-    vt = spec.vt
+def structure_constants(gb, qb, uname):
+    """Structure constants tau^l (one PolyMatrix per basis element) and
+    traces zeta of the quotient by gb in the standard basis qb; they must
+    not involve the distinguished parameter uname."""
+    vt = qb.vt
+    mu = qb.mu
+    es = qb.polynomials()
     zero = Polynomial.zero(vt)
     tau = [[[zero] * mu for _ in range(mu)] for _ in range(mu)]
     for i in range(mu):
         for j in range(i, mu):
-            coords = coordinates(es[i] * es[j], spec.gb, spec.basis)
+            coords = coordinates(es[i] * es[j], gb, qb)
             for l in range(mu):
                 tau[l][i][j] = coords[l]
                 tau[l][j][i] = coords[l]
-    tau = [PolyMatrix(vt, t) for t in tau]
     for t in tau:
-        for row in t.entries:
+        for row in t:
             for e in row:
-                if e.degree_in(spec.u) > 0:
+                if e.degree_in(uname) > 0:
                     raise ValueError("structure constants must not involve u")
-    zeta = []
-    for r in range(mu):
-        acc = zero
-        for l in range(mu):
-            acc = acc + tau[l][r, l]
-        zeta.append(acc)
-    return MulTables(tau, zeta)
+    return [PolyMatrix(vt, t) for t in tau], traces(tau)
+
+
+def traces(tau):
+    """zeta_r = sum_l tau^l_{r,l}, the trace of multiplication by basis
+    element r; tau is a list of row lists of polynomials or rationals."""
+    return [sum(t[r][l] for l, t in enumerate(tau)) for r in range(len(tau))]
+
+
+def tau_form(tau, coeffs):
+    """The symmetric form sum_l coeffs_l * tau^l on row lists of polynomials
+    or rationals.
+
+    With coeffs = zeta it is the trace form T, T_ij = tr(e_i e_j). With
+    coeffs = T h, h the coordinates of a polynomial, it is the trace form
+    of multiplication by that polynomial: B^H when h is the Hessian.
+    """
+    mu = len(tau)
+    return [[sum(c * t[i][j] for c, t in zip(coeffs, tau)) for j in range(mu)]
+            for i in range(mu)]
+
+
+def mul_tables(spec):
+    """Structure constants tau and traces zeta of the quotient algebra."""
+    return MulTables(*structure_constants(spec.gb, spec.basis, spec.u))
 
 
 @dataclass
 class LogMatrix:
-    """Rows are logarithmic vector fields; the determinant is the discriminant."""
+    """Rows of sigma are logarithmic vector fields of the discriminant.
+
+    sigma is the weighted closed form when weights are known and the
+    normal-form matrix sigma0 otherwise. The discriminant det(sigma) is
+    computed on first access and cached: only the discriminant, logfields
+    and maxwell commands read it.
+    """
 
     sigma: PolyMatrix
-    discriminant: Polynomial
     sigma0: PolyMatrix
     weighted: bool
+
+    @cached_property
+    def discriminant(self):
+        return det_bareiss(self.sigma)
 
 
 def log_matrix(spec, ws=None, tables=None):
@@ -232,8 +256,7 @@ def log_matrix(spec, ws=None, tables=None):
         rows0.append(coords)
     sigma0 = PolyMatrix(vt, rows0)
     if ws is None:
-        det0 = det_bareiss(sigma0)
-        return LogMatrix(sigma0, det0, sigma0, False)
+        return LogMatrix(sigma0, sigma0, False)
     if tables is None:
         tables = mul_tables(spec)
     svars = [Polynomial.var(vt, name) for name in spec.params]
@@ -250,7 +273,7 @@ def log_matrix(spec, ws=None, tables=None):
     if sigma != sigma0.scale(ws.wF):
         raise AssertionError("weighted logarithmic matrix disagrees with the "
                              "normal-form matrix")
-    return LogMatrix(sigma, det_bareiss(sigma), sigma0, True)
+    return LogMatrix(sigma, sigma0, True)
 
 
 @dataclass
@@ -263,30 +286,43 @@ class TraceForms:
     BHF: PolyMatrix
 
 
+def _hessian(F):
+    xs = F.vt.x_vars
+    return PolyMatrix(F.vt, [[F.diff(a).diff(b) for b in xs] for a in xs])
+
+
 def hessian_determinant(spec):
-    vt = spec.vt
-    n = vt.nx
-    h = PolyMatrix(vt, [[spec.F.diff(vt.x_vars[i]).diff(vt.x_vars[j])
-                         for j in range(n)] for i in range(n)])
-    return det_bareiss(h)
+    return det_bareiss(_hessian(spec.F))
 
 
 def trace_forms(spec, ws, tables, logm):
     """Trace (Bezoutian) forms built from the structure constants."""
-    vt = spec.vt
-    mu = spec.mu
-    T = PolyMatrix.zeros(vt, mu, mu)
-    for r in range(mu):
-        T = T + tables.tau[r].scale(tables.zeta[r])
-    BF = logm.sigma * T
-    h = hessian_determinant(spec)
-    hvec = coordinates(h, spec.gb, spec.basis)
-    eta = T.apply_vector(hvec)
-    BH = PolyMatrix.zeros(vt, mu, mu)
-    for l in range(mu):
-        BH = BH + tables.tau[l].scale(eta[l])
-    BHF = logm.sigma * BH
-    return TraceForms(T, BF, hvec, eta, BH, BHF)
+    T = tables_T(logm, tables)
+    hvec = coordinates(hessian_determinant(spec), spec.gb, spec.basis)
+    eta = mat_vec(T.entries, hvec)
+    BH = PolyMatrix(spec.vt, tau_form([t.entries for t in tables.tau], eta))
+    return TraceForms(T, logm.sigma * T, hvec, eta, BH, logm.sigma * BH)
+
+
+def forms_at(tau, sigma, point):
+    """tau, T and Sigma (P for complete intersections) at one parameter
+    point, as row lists of rationals.
+
+    Evaluation is a ring homomorphism, so every form built from these over
+    Q equals the evaluated parametric form exactly.
+    """
+    tau = [t.values(point) for t in tau]
+    return tau, tau_form(tau, traces(tau)), sigma.values(point)
+
+
+def hessian_forms_at(spec, tau, T, sigma, point):
+    """B^H and B^HF at one parameter point from the rationals of forms_at.
+    The Hessian is specialised before its determinant is taken."""
+    h = det_bareiss(_hessian(spec.F.evaluate(point)))
+    hvec = [c.evaluate(point).constant_value()
+            for c in coordinates(h, spec.gb, spec.basis)]
+    BH = tau_form(tau, mat_vec(T, hvec))
+    return BH, mat_mul(sigma, BH)
 
 
 def maxwell_bifurcation(logm, tables, uname):
@@ -314,12 +350,9 @@ def maxwell_bifurcation(logm, tables, uname):
 
 
 def tables_T(logm, tables):
-    vt = logm.sigma.vt
-    mu = tables.mu
-    T = PolyMatrix.zeros(vt, mu, mu)
-    for r in range(mu):
-        T = T + tables.tau[r].scale(tables.zeta[r])
-    return T
+    """The trace form T as a polynomial matrix."""
+    return PolyMatrix(logm.sigma.vt,
+                      tau_form([t.entries for t in tables.tau], tables.zeta))
 
 
 def multiplication_matrix(p, spec):

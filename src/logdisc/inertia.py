@@ -38,9 +38,7 @@ class SymMatrixQ:
 
     @classmethod
     def from_poly_matrix(cls, pm, assignment):
-        rows = [[e.evaluate(assignment).constant_value() for e in row]
-                for row in pm.entries]
-        return cls(tuple(tuple(r) for r in rows))
+        return cls(pm.values(assignment))
 
     def neg(self):
         return SymMatrixQ(tuple(tuple(-e for e in row) for row in self.entries))
@@ -125,7 +123,6 @@ class ChiReport:
     chi_eq: int
     sign_BH: int
     sign_BHF: int
-    degenerate: bool
 
 
 def euler_characteristics(bh, bhf, n):
@@ -152,4 +149,4 @@ def euler_characteristics(bh, bhf, n):
         b = -b
     chi_eq = 1 - a - b
     return ChiReport(chi_ge=1 - b, chi_le=1 - a, chi_eq=chi_eq,
-                     sign_BH=s_h, sign_BHF=s_hf, degenerate=False)
+                     sign_BH=s_h, sign_BHF=s_hf)

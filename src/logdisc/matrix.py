@@ -4,7 +4,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Polynomial, exact_divide, _coeffs_in, _from_coeffs
+from .poly import Polynomial, exact_divide, _coeffs_in
+
+
+def mat_mul(a, b):
+    """Product of two matrices given as row lists; the entries may be
+    polynomials or rationals."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def mat_vec(a, v):
+    """Matrix (row lists) times a column vector, entries as in mat_mul."""
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 class PolyMatrix:
@@ -28,11 +40,6 @@ class PolyMatrix:
         zero = Polynomial.zero(vt)
         return cls(vt, [[one if i == j else zero for j in range(n)]
                         for i in range(n)])
-
-    @classmethod
-    def zeros(cls, vt, rows, cols):
-        zero = Polynomial.zero(vt)
-        return cls(vt, [[zero] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -60,31 +67,17 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = Polynomial.zero(self.vt)
-                    for k in range(self.cols):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(self.vt, out)
+            return PolyMatrix(self.vt, mat_mul(self.entries, other.entries))
         return self.scale(other)
-
-    def apply_vector(self, vec):
-        """Matrix times a column vector of polynomials."""
-        out = []
-        for i in range(self.rows):
-            acc = Polynomial.zero(self.vt)
-            for k in range(self.cols):
-                acc = acc + self.entries[i][k] * vec[k]
-            out.append(acc)
-        return out
 
     def evaluate(self, assignment):
         return PolyMatrix(self.vt, [[e.evaluate(assignment) for e in row]
                                     for row in self.entries])
+
+    def values(self, assignment):
+        """Row lists of rationals at a point assigning every parameter."""
+        return [[e.evaluate(assignment).constant_value() for e in row]
+                for row in self.entries]
 
     def is_symmetric(self):
         if self.rows != self.cols:

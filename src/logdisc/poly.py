@@ -80,8 +80,6 @@ class MonomialOrder:
     def key(self, expts):
         if self.kind == "degrevlex":
             return degrevlex_key(expts)
-        if self.kind == "lex":
-            return tuple(expts)
         raise ValueError("unknown order %r" % self.kind)
 
 
@@ -377,15 +375,6 @@ def _coeffs_in(p, i):
         else:
             cf.pop(m2, None)
     return {e: Polynomial(p.vt, cf) for e, cf in out.items() if cf}
-
-
-def _from_coeffs(vt, i, coeffs):
-    out = {}
-    for e, poly in coeffs.items():
-        for m, c in poly.terms.items():
-            m2 = m[:i] + (e,) + m[i + 1:]
-            out[m2] = c
-    return Polynomial(vt, out)
 
 
 def _pseudo_rem(a, b, i):

@@ -129,6 +129,17 @@ def test_ci_commands(capsys):
     assert len(doc["P"]) == 4
 
 
+def test_ci_parabola_count_and_oracle(capsys):
+    code, out, _ = run(capsys, "ci-count", f"{FIX}/ci_parabola.ls",
+                       "--params", "u=3,t1=1,t2=2", "--json")
+    assert code == 0
+    assert json.loads(out)["count"] == -1
+    code, out, _ = run(capsys, "oracle-check", f"{FIX}/ci_parabola.ls",
+                       "--params", "u=3,t1=1,t2=2", "--json")
+    assert code == 0
+    assert json.loads(out)["oracle"]["agree"] is True
+
+
 def test_ci_discriminant_of_recast_hypersurface(capsys):
     code, out, _ = run(capsys, "ci-discriminant", f"{FIX}/a2.ls", "--json")
     assert code == 0
