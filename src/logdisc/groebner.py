@@ -65,7 +65,7 @@ def _split_x(p):
         xm = m[:nx]
         cf = out.setdefault(xm, {})
         cf[pad + m[nx:]] = c
-    return {xm: Polynomial(p.vt, cf) for xm, cf in out.items()}
+    return {xm: Polynomial._raw(p.vt, cf) for xm, cf in out.items()}
 
 
 def _lead_x(p, order):
@@ -81,13 +81,14 @@ def _x_coeff(p, xm):
     for m, c in p.terms.items():
         if m[:nx] == xm:
             out[pad + m[nx:]] = c
-    return Polynomial(p.vt, out)
+    return Polynomial._raw(p.vt, out)
 
 
 def _shift_x(p, xm):
     """Multiply by the monomial with x-exponents xm."""
     full = xm + (0,) * (p.vt.nvars - len(xm))
-    return Polynomial(p.vt, {monomial_mul(m, full): c for m, c in p.terms.items()})
+    return Polynomial._raw(p.vt, {monomial_mul(m, full): c
+                                  for m, c in p.terms.items()})
 
 
 def _strip_content(p):
@@ -154,7 +155,8 @@ class QuotientBasis:
 
     def polynomials(self):
         pad = (0,) * (self.vt.nvars - self.vt.nx)
-        return [Polynomial(self.vt, {m + pad: Fraction(1)}) for m in self.monomials]
+        return [Polynomial._raw(self.vt, {m + pad: Fraction(1)})
+                for m in self.monomials]
 
 
 def reduce_poly(p, gb):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
-from .poly import Polynomial, exact_divide, _coeffs_in
+from .poly import (Polynomial, exact_divide, _coeffs_in, _divide_terms,
+                   _pseudo_rem)
 
 
 def mat_mul(a, b):
@@ -94,34 +97,77 @@ class PolyMatrix:
                          for row in self.entries)
 
 
+def _zmul_sub(a, b, c, d):
+    """a*b - c*d for term dicts with int coefficients."""
+    out = {}
+    for f, g, sign in ((a, b, 1), (c, d, -1)):
+        for m1, c1 in f.items():
+            c1 *= sign
+            for m2, c2 in g.items():
+                m = tuple(map(add, m1, m2))
+                v = out.get(m, 0) + c1 * c2
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+    return out
+
+
+def _int_quotient(c, lc):
+    q, rem = divmod(c, lc)
+    return None if rem else q
+
+
+def _zdivide(a, b):
+    """a / b in Z[s] for term dicts with int coefficients; the division
+    must be exact, both in its monomials and in its integer quotients."""
+    q = _divide_terms(a, b, _int_quotient)
+    assert q is not None, "Bareiss division must be exact"
+    return q
+
+
 def det_bareiss(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination over Z[s].
+
+    Row i is first multiplied by the least common multiple L_i of the
+    denominators of its coefficients, so every entry lies in Z[s] and the
+    determinant is multiplied by L = L_1 * ... * L_n. Elimination then runs
+    on term dicts with Python int coefficients, where every Bareiss
+    division is exact in Z[s], and the result is divided by L once at the
+    end.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return Polynomial.const(m.vt, 1)
-    a = [row[:] for row in m.entries]
+    scale = 1
+    a = []
+    for row in m.entries:
+        den = lcm(*(c.denominator for e in row for c in e.terms.values()))
+        scale *= den
+        a.append([{mono: c.numerator * (den // c.denominator)
+                   for mono, c in e.terms.items()} for e in row])
     sign = 1
-    prev = Polynomial.const(m.vt, 1)
+    prev = None
     for k in range(n - 1):
-        if a[k][k].is_zero:
+        if not a[k][k]:
             for i in range(k + 1, n):
-                if not a[i][k].is_zero:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
                 return Polynomial.zero(m.vt)
+        akk, ak = a[k][k], a[k]
         for i in range(k + 1, n):
+            ai = a[i]
             for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                q = exact_divide(num, prev)
-                assert q is not None, "Bareiss division must be exact"
-                a[i][j] = q
-            a[i][k] = Polynomial.zero(m.vt)
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
+                num = _zmul_sub(akk, ai[j], ai[k], ak[j])
+                ai[j] = num if prev is None else _zdivide(num, prev)
+        prev = akk
+    return Polynomial._raw(m.vt, {mono: Fraction(sign * c, scale)
+                                  for mono, c in a[n - 1][n - 1].items()})
 
 
 def _univariate(p, name):
@@ -186,9 +232,11 @@ def resultant(p, q, name):
         d = da - db
         if da % 2 and db % 2:
             sign = -sign
-        r = _prem_named(a, b, i)
+        r, e = _pseudo_rem(a, b, i)
         if r.is_zero:
             return Polynomial.zero(vt)
+        if e:
+            r = r * _coeffs_in(b, i)[db] ** e
         dr = max(_coeffs_in(r, i)) if i in r.variables_used() else 0
         divisor = g * h ** d
         a, da = b, db
@@ -205,30 +253,6 @@ def resultant(p, q, name):
             res = exact_divide(lb ** da, h ** (da - 1)) if da > 1 else lb
             assert res is not None
             return res * sign
-
-
-def _prem_named(a, b, i):
-    """Pseudo-remainder prem(a, b) in variable index i with the exact
-    lc(b)^(deg a - deg b + 1) scaling."""
-    ca = _coeffs_in(a, i)
-    cb = _coeffs_in(b, i)
-    da, db = max(ca), max(cb)
-    lc_b = cb[db]
-    vt = a.vt
-    var_mono = tuple(1 if j == i else 0 for j in range(vt.nvars))
-    xv = Polynomial(vt, {var_mono: Fraction(1)})
-    r = a
-    e = da - db + 1
-    while True:
-        cr = _coeffs_in(r, i)
-        dr = max(cr) if cr else -1
-        if dr < db:
-            break
-        r = lc_b * r - cr[dr] * xv ** (dr - db) * b
-        e -= 1
-    if e > 0:
-        r = r * lc_b ** e
-    return r
 
 
 def discriminant(p, name):

@@ -10,14 +10,13 @@ are run in chunks of growing size (mu, 2 mu, 4 mu, ...), so that points
 whose critical points are found by the first starts stay cheap.
 
 Floating point lives only here; the exact modules never consume these
-results as truth."""
+results as truth. numpy is imported inside the functions that use it, so
+importing logdisc (and running any exact command) does not load it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 NEWTON_TOL = 1e-10
 DEDUP_FACTOR = 1e-6
@@ -54,6 +53,7 @@ class _PolyBatch:
     values are monomials(X) @ coeffs over their shared monomial set."""
 
     def __init__(self, polys, nx):
+        import numpy as np
         mons = sorted({m[:nx] for p in polys for m in p.terms})
         index = {m: i for i, m in enumerate(mons)}
         self.expts = np.array(mons, dtype=np.int64).reshape(len(mons), nx)
@@ -65,6 +65,7 @@ class _PolyBatch:
 
     def __call__(self, X):
         """Values of the polynomials at the rows of X, shape (n, count)."""
+        import numpy as np
         xt = X.T
         powers = np.empty((self.degree + 1,) + xt.shape)
         powers[0] = 1.0
@@ -96,6 +97,7 @@ class _LagrangeSystem:
         self.both = _PolyBatch(first + second, nx)
 
     def _residual(self, Z, v):
+        import numpy as np
         nx, k = self.nx, self.k
         jg = v[:, nx + k:self.n_first].reshape(len(Z), k, nx)
         lam = Z[:, nx:]
@@ -109,6 +111,7 @@ class _LagrangeSystem:
         """Residuals r, Jacobians J, Hessians of the Lagrangian
         F + sum lambda_q g_q in x, and constraint Jacobians at the rows
         of Z."""
+        import numpy as np
         n, nx, k = len(Z), self.nx, self.k
         v = self.both(Z[:, :nx])
         r, jg = self._residual(Z, v)
@@ -126,6 +129,7 @@ class _LagrangeSystem:
         """Morse index and Hessian sign at one converged z; with
         constraints, of the second fundamental form on their tangent
         space."""
+        import numpy as np
         _, _, hess, jg = self.linearize(z[None, :])
         if self.k == 0:
             eig = np.linalg.eigvalsh(hess[0])
@@ -142,6 +146,7 @@ def _solve_steps(J, r):
     """Newton steps J^-1 r for a stack of systems, and a mask of the
     systems that were solvable. A singular Jacobian drops only its own
     start: when the stacked solve fails, each system is solved alone."""
+    import numpy as np
     try:
         return np.linalg.solve(J, r[:, :, None])[:, :, 0], \
             np.ones(len(r), dtype=bool)
@@ -162,6 +167,7 @@ def _damping(system, Z, step, base):
     2^-(LINE_SEARCH_HALVINGS - 1) with ||r(z - t step)|| <= base, else
     2^-LINE_SEARCH_HALVINGS. Rows that reject t = 1 have all their shorter
     steps tried in one batch."""
+    import numpy as np
     t = np.ones(len(Z))
     accept = np.linalg.norm(system.residual(Z - step), axis=1) <= base
     rest = np.flatnonzero(~accept)
@@ -185,6 +191,7 @@ def _newton(system, Z, ball_radius):
     ||r(z)|| < NEWTON_TOL; stop with failure on a singular Jacobian or when
     |x| exceeds DIVERGENCE_FACTOR * ball_radius; step length t = 1, halved
     up to LINE_SEARCH_HALVINGS times until ||r(z - t step)|| <= ||r(z)||."""
+    import numpy as np
     n = len(Z)
     Z = Z.copy()
     ok = np.zeros(n, dtype=bool)
@@ -228,6 +235,7 @@ def find_critical_points(F, assignment, mu, ball_radius=DEFAULT_BALL,
     - deduplication of the converged points inside the ball in start
       order, at distance DEDUP_FACTOR * R;
     - the stop at the mu-th distinct point."""
+    import numpy as np
     system = _LagrangeSystem(F, assignment, constraints)
     nx, k = system.nx, system.k
     R = float(ball_radius)
@@ -281,6 +289,8 @@ def _exact_eval_grid(F, assignment, radius, n):
     computed in exact integer arithmetic after clearing denominators."""
     from math import gcd
 
+    import numpy as np
+
     vt = F.vt
     q = F.evaluate(assignment)
     nx = vt.nx
@@ -316,6 +326,7 @@ def _exact_eval_grid(F, assignment, radius, n):
 def _complex_2d(marked):
     """Closed cubical complex spanned by grid squares having at least one
     marked vertex: (squares, x-edges, y-edges, vertices) membership masks."""
+    import numpy as np
     sq = marked[:-1, :-1] | marked[1:, :-1] | marked[:-1, 1:] | marked[1:, 1:]
     pad = np.zeros((sq.shape[0] + 2, sq.shape[1] + 2), dtype=bool)
     pad[1:-1, 1:-1] = sq
@@ -331,6 +342,7 @@ def _chi_of(parts):
 
 
 def _chi_at(F, assignment, radius, n):
+    import numpy as np
     sign = _exact_eval_grid(F, assignment, radius, n)
     if sign.shape[1] == 1:
         s = sign[:, 0]

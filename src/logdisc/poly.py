@@ -5,13 +5,29 @@ parameters (s).  Coefficients are fractions.Fraction, always reduced.  Terms
 are kept in a dict keyed by exponent tuples; printing and leading-term
 selection use the global degrevlex order, so equal values have equal
 canonical representations.
+
+Invariant of every Polynomial: ``terms`` maps exponent tuples of length
+``vt.nvars`` to nonzero Fractions, and no other object holds that dict.
+The public constructor ``Polynomial(vt, terms)`` establishes it by
+converting and filtering its input. Arithmetic results are built by the
+trusted constructor ``Polynomial._raw(vt, terms)``, which takes a freshly
+built dict that already satisfies the invariant and skips the check.
+
+``exact_divide`` is a heap division (Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symbolic Comput. 2011): the
+remainder is one mutable dict, its monomials sit in a heap with lazy
+deletion, and each step cancels the largest one in place.  The same loop,
+``_divide_terms``, divides term dicts with int coefficients for the
+determinants over Z[s] in ``matrix``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
+from operator import add, neg, sub, truediv
 
 
 @dataclass(frozen=True)
@@ -52,17 +68,23 @@ class VarTable:
 
 def degrevlex_key(expts):
     """Sort key: larger key = larger monomial in degrevlex."""
-    return (sum(expts), tuple(-e for e in reversed(expts)))
+    return (sum(expts), tuple(map(neg, reversed(expts))))
+
+
+def _heap_key(expts):
+    """Min-heap priority: the larger monomial in degrevlex pops first."""
+    deg, rev = degrevlex_key(expts)
+    return (-deg, tuple(map(neg, rev)))
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_div(a, b):
     """a / b, or None when b does not divide a."""
-    d = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in d):
+    d = tuple(map(sub, a, b))
+    if min(d, default=0) < 0:
         return None
     return d
 
@@ -101,18 +123,27 @@ class Polynomial:
                     clean[tuple(m)] = c
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, vt, terms):
+        """Trusted constructor: ``terms`` already maps exponent tuples to
+        nonzero Fractions and is owned by the new polynomial."""
+        p = object.__new__(cls)
+        p.vt = vt
+        p.terms = terms
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, vt):
-        return cls(vt)
+        return cls._raw(vt, {})
 
     @classmethod
     def const(cls, vt, c):
         c = Fraction(c)
         if not c:
-            return cls(vt)
-        return cls(vt, {(0,) * vt.nvars: c})
+            return cls._raw(vt, {})
+        return cls._raw(vt, {(0,) * vt.nvars: c})
 
     @classmethod
     def var(cls, vt, name):
@@ -177,13 +208,13 @@ class Polynomial:
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
-        return Polynomial(self.vt, terms)
+                del terms[m]
+        return Polynomial._raw(self.vt, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vt, {m: -c for m, c in self.terms.items()})
+        return Polynomial._raw(self.vt, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -197,21 +228,22 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return Polynomial(self.vt)
-            return Polynomial(self.vt, {m: k * c for m, k in self.terms.items()})
+                return Polynomial._raw(self.vt, {})
+            return Polynomial._raw(self.vt,
+                                   {m: k * c for m, k in self.terms.items()})
         self._check(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
+                m = tuple(map(add, m1, m2))
                 s = out.get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return Polynomial(self.vt, out)
+                    del out[m]
+        return Polynomial._raw(self.vt, out)
 
     __rmul__ = __mul__
 
@@ -248,9 +280,8 @@ class Polynomial:
         for m, c in self.terms.items():
             e = m[i]
             if e:
-                m2 = m[:i] + (e - 1,) + m[i + 1:]
-                out[m2] = out.get(m2, 0) + c * e
-        return Polynomial(self.vt, out)
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return Polynomial._raw(self.vt, out)
 
     def evaluate(self, assignment):
         """Substitute rationals for a subset of the variables."""
@@ -265,7 +296,7 @@ class Polynomial:
                 out[m2] = s
             else:
                 out.pop(m2, None)
-        return Polynomial(self.vt, out)
+        return Polynomial._raw(self.vt, out)
 
     # -- leading data (global degrevlex) ----------------------------------
 
@@ -341,25 +372,56 @@ def make_primitive(p):
     return p * (1 / c)
 
 
+def _divide_terms(a, b, quotient):
+    """Heap division of the term dict a by the nonzero term dict b.
+
+    Returns the quotient's term dict, or None as soon as the leading
+    monomial of the remainder is not divisible by lm(b), or
+    ``quotient(c, lc(b))`` returns None for its coefficient c. The
+    coefficients may be Fractions or ints; a nonzero c never gives a zero
+    quotient coefficient.
+    """
+    lm_b = max(b, key=degrevlex_key)
+    lc_b = b[lm_b]
+    tail = [(m, c) for m, c in b.items() if m != lm_b]
+    r = dict(a)
+    heap = [(_heap_key(m), m) for m in r]
+    heapify(heap)
+    q = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = r.pop(m, None)
+        if c is None:
+            continue  # cancelled earlier, or a duplicate entry
+        d = monomial_div(m, lm_b)
+        if d is None:
+            return None
+        c = quotient(c, lc_b)
+        if c is None:
+            return None
+        q[d] = c
+        # every monomial of d*tail(b) is below m, so m never comes back
+        for mb, cb in tail:
+            mm = tuple(map(add, d, mb))
+            old = r.get(mm)
+            if old is None:
+                r[mm] = -c * cb
+                heappush(heap, (_heap_key(mm), mm))
+            else:
+                v = old - c * cb
+                if v:
+                    r[mm] = v
+                else:
+                    del r[mm]
+    return q
+
+
 def exact_divide(a, b):
     """Return a / b when b divides a exactly, else None."""
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return Polynomial(a.vt)
-    lm_b = b.lead_monomial()
-    lc_b = b.lead_coeff()
-    q = {}
-    r = a
-    while not r.is_zero:
-        m = r.lead_monomial()
-        d = monomial_div(m, lm_b)
-        if d is None:
-            return None
-        c = r.terms[m] / lc_b
-        q[d] = c
-        r = r - Polynomial.monomial(a.vt, d, c) * b
-    return Polynomial(a.vt, q)
+    q = _divide_terms(a.terms, b.terms, truediv)
+    return None if q is None else Polynomial._raw(a.vt, q)
 
 
 def _coeffs_in(p, i):
@@ -374,26 +436,30 @@ def _coeffs_in(p, i):
             cf[m2] = s
         else:
             cf.pop(m2, None)
-    return {e: Polynomial(p.vt, cf) for e, cf in out.items() if cf}
+    return {e: Polynomial._raw(p.vt, cf) for e, cf in out.items() if cf}
 
 
 def _pseudo_rem(a, b, i):
-    """Pseudo-remainder of a by b, both univariate in variable index i."""
-    ca = _coeffs_in(a, i)
+    """Pseudo-remainder of a by b, both univariate in variable index i.
+
+    Returns (r, e): lc(b)^e * r is prem(a, b) with its exact scaling
+    lc(b)^(deg a - deg b + 1). The loop stops as soon as the degree drops
+    below deg b, so e is deg a - deg b + 1 minus the steps it took.
+    """
     cb = _coeffs_in(b, i)
     db = max(cb)
     lc_b = cb[db]
     r = a
+    e = a.degree_in(a.vt.names[i]) - db + 1
     var_mono = tuple(1 if j == i else 0 for j in range(a.vt.nvars))
-    xv = Polynomial(a.vt, {var_mono: Fraction(1)})
+    xv = Polynomial._raw(a.vt, {var_mono: Fraction(1)})
     while True:
         cr = _coeffs_in(r, i)
-        if not cr:
-            return r
-        dr = max(cr)
+        dr = max(cr) if cr else -1
         if dr < db:
-            return r
+            return r, e
         r = lc_b * r - cr[dr] * xv ** (dr - db) * b
+        e -= 1
         # the cancelled leading coefficient keeps the loop finite
 
 
@@ -430,7 +496,7 @@ def poly_gcd(a, b):
     if max(_coeffs_in(f, i)) < max(_coeffs_in(g, i)):
         f, g = g, f
     while True:
-        r = _pseudo_rem(f, g, i)
+        r = _pseudo_rem(f, g, i)[0]
         if r.is_zero:
             break
         cr = _content_wrt(_coeffs_in(r, i))

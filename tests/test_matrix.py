@@ -2,10 +2,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from logdisc.matrix import (PolyMatrix, det_bareiss, discriminant, resultant,
-                            sylvester_matrix)
+from logdisc.matrix import (PolyMatrix, _zdivide, det_bareiss, discriminant,
+                            resultant, sylvester_matrix)
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable, exact_divide, poly_gcd
 
@@ -31,27 +31,60 @@ def det_cofactor(m):
 
 
 @st.composite
+def small_entry(draw, den):
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        m = tuple(draw(st.integers(0, 2)) for _ in range(4))
+        c = Fraction(draw(st.integers(-3, 3)), den * draw(st.integers(1, 3)))
+        if c:
+            terms[m] = terms.get(m, 0) + c
+    return Polynomial(VT, {m: c for m, c in terms.items() if c})
+
+
+@st.composite
 def small_matrices(draw):
-    n = draw(st.integers(1, 4))
+    """Square matrices up to 5 x 5 with rational coefficients whose
+    denominators differ from row to row. ``pivot`` forces a zero pivot,
+    and so a row swap in Bareiss elimination, at the first step ("first":
+    the top-left entry is zero) or at the second ("second": the top-left
+    2 x 2 block is singular, because row 1 starts with a multiple of row
+    0)."""
+    n = draw(st.integers(1, 5))
     ent = []
     for _ in range(n):
-        row = []
-        for _ in range(n):
-            terms = {}
-            for _ in range(draw(st.integers(0, 2))):
-                m = tuple(draw(st.integers(0, 2)) for _ in range(4))
-                c = draw(st.integers(-3, 3))
-                if c:
-                    terms[m] = terms.get(m, 0) + Fraction(c)
-            row.append(Polynomial(VT, {m: c for m, c in terms.items() if c}))
-        ent.append(row)
+        den = draw(st.sampled_from([1, 2, 3, 5, 7, 12]))
+        ent.append([draw(small_entry(den)) for _ in range(n)])
+    pivot = draw(st.sampled_from(["none", "first", "second"]))
+    if pivot == "first":
+        ent[0][0] = Polynomial.zero(VT)
+    elif pivot == "second" and n >= 3:
+        factor = draw(small_entry(draw(st.sampled_from([1, 4]))))
+        ent[1][0] = ent[0][0] * factor
+        ent[1][1] = ent[0][1] * factor
     return PolyMatrix(VT, ent)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_matrices())
+@example(PolyMatrix(VT, [[p("0"), p("1/2*u"), p("1")],
+                         [p("1/3"), p("a"), p("b")],
+                         [p("u"), p("1/5"), p("0")]]))
+@example(PolyMatrix(VT, [[p("1/2"), p("u"), p("1")],
+                         [p("1/4*a"), p("1/2*a*u"), p("b")],
+                         [p("1/7"), p("a"), p("1/3*u")]]))
 def test_bareiss_matches_cofactor(m):
     assert det_bareiss(m) == det_cofactor(m)
+
+
+def test_integer_bareiss_division_must_be_exact():
+    one = (0, 0, 0, 0)
+    u = (0, 1, 0, 0)
+    a = (0, 0, 1, 0)
+    assert _zdivide({u: 6, a: -4}, {one: 2}) == {u: 3, a: -2}
+    with pytest.raises(AssertionError, match="Bareiss division must be exact"):
+        _zdivide({u: 3}, {one: 2})          # nonzero integer remainder
+    with pytest.raises(AssertionError, match="Bareiss division must be exact"):
+        _zdivide({u: 2}, {a: 1})            # a not divisible monomial
 
 
 def test_det_identity():

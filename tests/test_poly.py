@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from logdisc.matrix import _zdivide
 from logdisc.parse import parse_poly
 from logdisc.poly import (Polynomial, VarTable, exact_divide, make_primitive,
-                          poly_gcd, squarefree_core)
+                          monomial_div, poly_gcd, squarefree_core)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 VT = VarTable(("x", "y"), ("a", "b"))
 
@@ -37,6 +43,36 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + (b + c) == (a + b) + c
     assert a - a == Polynomial.zero(VT)
+    # every result keeps the term invariant: nonzero Fraction coefficients
+    results = [a + b, a - b, a - a, -a, a * b, (a + b) * c, a * 3,
+               a * Fraction(-2, 3), a * 0, 2 - a, a ** 2, a.diff("x"),
+               a.evaluate({"a": Fraction(1, 2)}), a.evaluate({"x": 0, "y": 1})]
+    if b:
+        results.append(exact_divide(a * b, b))
+    for q in results:
+        assert all(type(k) is tuple and len(k) == 4 for k in q.terms)
+        assert all(type(v) is Fraction and v for v in q.terms.values())
+
+
+def _int_terms(q):
+    return {m: int(c) for m, c in q.terms.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.tuples(*[expts] * 4), coeffs)
+@example(p("x - y"), p("x + y"), (0, 2, 0, 0), 1)   # x^2 - y^2 + y^2 = x^2
+@example(p("x^2 + y"), p("x + 1"), (0, 2, 0, 0), -3)
+def test_exact_divide_recovers_the_cofactor(a, b, rm, rc):
+    assume(not b.is_zero)
+    assert exact_divide(a * b, b) == a
+    # the same heap loop over Z with integer quotients
+    assert _zdivide(_int_terms(a * b), _int_terms(b)) == _int_terms(a)
+    # a nonzero monomial that lm(b) does not divide is not a multiple of b
+    # (b would have to be a monomial dividing it), so b does not divide
+    # a*b + r; in the examples the bad term shows up only mid-division
+    assume(rc and monomial_div(rm, b.lead_monomial()) is None)
+    r = Polynomial(VT, {rm: rc})
+    assert exact_divide(a * b + r, b) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +146,18 @@ def test_squarefree_core():
     assert exact_divide(core, p("x - 1")) is not None
     assert exact_divide(core, p("x + 2")) is not None
     assert core.degree_in("x") == 2
+
+
+def test_exact_commands_do_not_load_numpy():
+    code = ("import sys, logdisc.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert logdisc.cli.main(['discriminant', 'fixtures/a2.ls']) == 0\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4/3*b^3 + 9*u^2\n"
 
 
 def test_make_primitive():
