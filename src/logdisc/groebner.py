@@ -168,21 +168,23 @@ def reduce_poly(p, gb):
     cof = [Polynomial.zero(vt) for _ in gb.elements]
     r = p
     while not r.is_zero:
-        # highest reducible x-monomial still present in r
-        xmonos = sorted({m[:vt.nx] for m in r.terms}, key=order.key, reverse=True)
+        # highest reducible x-monomial still present in r: scan the split
+        # from the top, dropping irreducible monomials as they are met
+        split = _split_x(r)
+        pool = {xm: order.key(xm) for xm in split}
         step = None
-        for xm in xmonos:
+        while pool and step is None:
+            xm = max(pool, key=pool.__getitem__)
+            del pool[xm]
             for gi, lm in enumerate(gb.lead_monomials):
                 d = monomial_div(xm, lm)
                 if d is not None:
                     step = (xm, gi, d)
                     break
-            if step:
-                break
         if step is None:
             break
         xm, gi, d = step
-        c = _x_coeff(r, xm)
+        c = split[xm]
         lead = gb.lead_coeffs[gi]
         shifted = _shift_x(gb.elements[gi], d)
         mono = Polynomial.monomial(vt, d + (0,) * (vt.nvars - vt.nx))

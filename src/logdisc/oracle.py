@@ -5,9 +5,15 @@ Euler-characteristic estimator for one or two space variables.
 The Newton finder runs its starts as numpy batches. Every polynomial of the
 gradient (or Lagrange) system is a coefficient vector over one shared
 monomial set, so a batch of points is evaluated with one matrix product, and
-each Newton step makes one stacked call to ``np.linalg.solve``. The batches
-are run in chunks of growing size (mu, 2 mu, 4 mu, ...), so that points
-whose critical points are found by the first starts stay cheap.
+each Newton step makes one stacked call to ``np.linalg.solve``. The first
+batch holds mu starts, so that points whose critical points are all found
+by the first starts stay cheap; the second holds the rest of the budget. A
+start whose line search rejects every step length is stuck and stops with
+failure, like one with a singular Jacobian.
+
+The grid oracle's signs are exact: a float64 evaluation with a rigorous
+error bound settles almost every grid point, and the others are evaluated
+in Python integers.
 
 Floating point lives only here; the exact modules never consume these
 results as truth. numpy is imported inside the functions that use it, so
@@ -71,7 +77,9 @@ class _PolyBatch:
         powers[0] = 1.0
         for e in range(1, self.degree + 1):
             powers[e] = powers[e - 1] * xt
-        mon = powers[self.expts, np.arange(len(xt))].prod(axis=1)
+        mon = powers[self.expts[:, 0], 0]
+        for i in range(1, len(xt)):
+            mon *= powers[self.expts[:, i], i]
         return mon.T @ self.coeffs
 
 
@@ -162,24 +170,37 @@ def _solve_steps(J, r):
     return steps, solved
 
 
+# the line search's blocks of halving counts, as (first, end) pairs: the
+# halvings 1 .. LINE_SEARCH_HALVINGS - 1 in three consecutive blocks (1-10,
+# 11-20, 21-29), so that a trial batch holds at most 10 points per row of Z
+_BLOCK_WIDTH = -(-(LINE_SEARCH_HALVINGS - 1) // 3)
+_HALVING_BLOCKS = [(lo, min(lo + _BLOCK_WIDTH, LINE_SEARCH_HALVINGS))
+                   for lo in range(1, LINE_SEARCH_HALVINGS, _BLOCK_WIDTH)]
+
+
 def _damping(system, Z, step, base):
     """Step lengths against overshoot: per row the first t in 1, 1/2, ...,
     2^-(LINE_SEARCH_HALVINGS - 1) with ||r(z - t step)|| <= base, else
-    2^-LINE_SEARCH_HALVINGS. Rows that reject t = 1 have all their shorter
-    steps tried in one batch."""
+    2^-LINE_SEARCH_HALVINGS. Rows that reject t = 1 try the shorter lengths
+    in the blocks of ``_HALVING_BLOCKS``, each block only for the rows that
+    rejected every length of the earlier ones, so that a trial batch holds
+    at most _BLOCK_WIDTH points per row of Z."""
     import numpy as np
     t = np.ones(len(Z))
     accept = np.linalg.norm(system.residual(Z - step), axis=1) <= base
     rest = np.flatnonzero(~accept)
-    if len(rest):
-        ts = np.ldexp(1.0, -np.arange(1, LINE_SEARCH_HALVINGS))
+    for lo, hi in _HALVING_BLOCKS:
+        if not len(rest):
+            break
+        ts = np.ldexp(1.0, -np.arange(lo, hi))
         trial = Z[rest, None] - ts[None, :, None] * step[rest, None]
         accept = (np.linalg.norm(system.residual(
             trial.reshape(-1, Z.shape[1])), axis=1).reshape(len(rest), -1)
             <= base[rest, None])
-        first = np.where(accept.any(axis=1), accept.argmax(axis=1) + 1,
-                         LINE_SEARCH_HALVINGS)
-        t[rest] = np.ldexp(1.0, -first)
+        hit = accept.any(axis=1)
+        t[rest[hit]] = ts[accept[hit].argmax(axis=1)]
+        rest = rest[~hit]
+    t[rest] = np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
     return t
 
 
@@ -188,15 +209,18 @@ def _newton(system, Z, ball_radius):
     mask of the rows that converged and their residual norms there.
 
     Per start this is: at most NEWTON_STEPS steps; stop with success when
-    ||r(z)|| < NEWTON_TOL; stop with failure on a singular Jacobian or when
-    |x| exceeds DIVERGENCE_FACTOR * ball_radius; step length t = 1, halved
-    up to LINE_SEARCH_HALVINGS times until ||r(z - t step)|| <= ||r(z)||."""
+    ||r(z)|| < NEWTON_TOL; step length t = 1, halved up to
+    LINE_SEARCH_HALVINGS - 1 times until ||r(z - t step)|| <= ||r(z)||;
+    stop with failure on a singular Jacobian, when every step length is
+    rejected (the start is stuck; it is not stepped), or when |x| exceeds
+    DIVERGENCE_FACTOR * ball_radius."""
     import numpy as np
     n = len(Z)
     Z = Z.copy()
     ok = np.zeros(n, dtype=bool)
     res = np.zeros(n)
     active = np.arange(n)
+    stuck = np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
     for _ in range(NEWTON_STEPS):
         za = Z[active]
         r, J, _, _ = system.linearize(za)
@@ -211,7 +235,11 @@ def _newton(system, Z, ball_radius):
         step, solved = _solve_steps(J, r)
         active, za, step, base = (active[solved], za[solved], step[solved],
                                   base[solved])
-        za = za - _damping(system, za, step, base)[:, None] * step
+        t = _damping(system, za, step, base)
+        moved = t != stuck
+        active, za, step, t = (active[moved], za[moved], step[moved],
+                               t[moved])
+        za = za - t[:, None] * step
         Z[active] = za
         active = active[~(np.linalg.norm(za[:, :system.nx], axis=1)
                           > DIVERGENCE_FACTOR * ball_radius)]
@@ -223,13 +251,14 @@ def find_critical_points(F, assignment, mu, ball_radius=DEFAULT_BALL,
     """Multistart damped Newton on the gradient (or Lagrange) system inside
     a ball, with deduplication and Morse classification.
 
-    The starts run as numpy batches in chunks of mu, 2 mu, 4 mu, ... starts,
-    capped by what is left of the budget, and the search stops after the
-    chunk in which the mu-th point was found. Every start runs on its own
-    row, so the chunking changes the cost, not the points. Fixed are:
+    The starts run as two numpy batches: the first max(mu, 1) starts, then,
+    unless they found mu points, the rest of the budget. Every start runs on
+    its own row, so the batching changes the cost, not the points. Fixed
+    are:
 
     - the budget of START_BUDGET_PER_MU * max(mu, 1) starts;
-    - the Newton and line-search limits and tolerances of ``_newton``;
+    - the Newton and line-search limits, tolerances and failure rules of
+      ``_newton``;
     - the draws, start by start, of x uniform in [-R, R]^nx and then lambda
       uniform in [-1, 1]^k from ``np.random.default_rng(seed)``;
     - deduplication of the converged points inside the ball in start
@@ -246,24 +275,27 @@ def find_critical_points(F, assignment, mu, ball_radius=DEFAULT_BALL,
     dedup = DEDUP_FACTOR * R
     found = []
     residual = 0.0
-    chunk = max(mu, 1)
-    spent = 0
+    first = max(mu, 1)
     stop = False
     with np.errstate(all="ignore"):
-        while spent < budget and not stop:
-            n = min(chunk, budget - spent)
-            spent += n
-            chunk *= 2
+        for n in (first, budget - first):
+            if stop:
+                break
             # row by row the same draws as uniform(-R, R, nx) followed by
             # uniform(-1, 1, k) for each start in turn
             Z0 = low + (high - low) * rng.random((n, nx + k))
             Z, ok, res = _newton(system, Z0, R)
-            inside = ok & ~(np.linalg.norm(Z[:, :nx], axis=1) > R)
-            for i in np.flatnonzero(inside):
-                x = Z[i, :nx]
-                if any(np.linalg.norm(x - np.asarray(p[0])) < dedup
-                       for p in found):
-                    continue
+            rows = np.flatnonzero(
+                ok & ~(np.linalg.norm(Z[:, :nx], axis=1) > R))
+            X = Z[rows, :nx]
+            # in start order, the first row not within dedup of a point
+            # found so far is the next point
+            fresh = np.ones(len(rows), dtype=bool)
+            for p in found:
+                fresh &= ~(np.linalg.norm(X - p[0], axis=1) < dedup)
+            while fresh.any():
+                j = fresh.argmax()
+                i, x = rows[j], X[j]
                 morse, hsign = system.classify(Z[i])
                 fval = float(system.value(x[None, :])[0, 0])
                 found.append((tuple(x), fval, morse, hsign))
@@ -271,6 +303,8 @@ def find_critical_points(F, assignment, mu, ball_radius=DEFAULT_BALL,
                 if len(found) == mu:
                     stop = True
                     break
+                fresh[j] = False
+                fresh &= ~(np.linalg.norm(X - x, axis=1) < dedup)
     signed = sum(1 if p[1] > 0 else -1 for p in found)
     return CriticalPointReport(found, residual, signed, len(found) == mu)
 
@@ -284,9 +318,38 @@ class GridChi:
     stable: bool
 
 
+GRID_BLOCK = 1 << 14   # grid points per float block of _exact_eval_grid
+
+
+def _to_float(v):
+    """v as a float64, or a signed infinity where it overflows."""
+    try:
+        return float(v)
+    except OverflowError:
+        return float("inf") if v > 0 else float("-inf")
+
+
 def _exact_eval_grid(F, assignment, radius, n):
-    """Signs of F on an (n+1)^2 rational grid over [-radius, radius]^2,
-    computed in exact integer arithmetic after clearing denominators."""
+    """Signs of F on an (n+1)^2 rational grid over [-radius, radius]^2 (n+1
+    points of [-radius, radius] with one space variable; shape (n+1, 1)),
+    exact.
+
+    Grid point i is A_i / D with integers A_i and D = radius.denominator * n,
+    and clearing den * D^deg turns F into an integer polynomial
+    P = sum_k c_k x^m_k of T terms and degree deg. P is first evaluated in
+    float64, a block of grid rows at a time, with the powers of each A_i
+    built by repeated multiplication. Every nonzero input is an integer of
+    magnitude at least 1, so nothing underflows, and each computed term
+    carries at most 2 deg + 1 roundings (the conversions of c_k and A_i and
+    the products) and the sum T - 1 more. With N = 2 deg + T + 1 the
+    computed value v therefore satisfies |v - P| <= gamma_N sum_k |c_k x^m_k|,
+    gamma_N = N u / (1 - N u) and u = 2^-53 (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., sections 3.1 and 4.2). The
+    filter compares |v| with gamma_2N times the computed sum of the |terms|;
+    the doubling covers the roundings of that sum and of the bound. A point
+    takes the sign of v where v is finite and |v| exceeds the bound; every
+    other point (a zero of F, a near-zero, an overflow to inf or nan) is
+    evaluated exactly in Python integers."""
     from math import gcd
 
     import numpy as np
@@ -303,23 +366,38 @@ def _exact_eval_grid(F, assignment, radius, n):
     A = [r.numerator * (2 * i - n) for i in range(n + 1)]
     deg = max((sum(m[:nx]) for m in q.terms), default=0)
     # scale by den * D^deg so every term is an integer
-    terms = [(m[:nx], c.numerator * (den // c.denominator)
+    terms = [(m[:nx] + (0,) * (2 - nx), c.numerator * (den // c.denominator)
               * D ** (deg - sum(m[:nx]))) for m, c in q.terms.items()]
-    pows = [[a ** e for e in range(deg + 1)] for a in A]
-    sign = np.zeros((n + 1, n + 1), dtype=np.int8)
-    if nx == 1:
-        for i in range(n + 1):
-            v = sum(c * pows[i][m[0]] for m, c in terms)
-            sign[i, 0] = (v > 0) - (v < 0)
-        return sign[:, :1]
-    for i in range(n + 1):
-        pi = pows[i]
-        for j in range(n + 1):
-            pj = pows[j]
-            v = 0
-            for m, c in terms:
-                v += c * pi[m[0]] * pj[m[1]]
-            sign[i, j] = (v > 0) - (v < 0)
+    # gamma_2N with N = 2 deg + T + 1; no filter if it is not small
+    u2n = 2 * (2 * deg + len(terms) + 1) * np.ldexp(1.0, -53)
+    gamma = u2n / (1 - u2n) if u2n < 0.25 else float("inf")
+    fc = [_to_float(c) for _, c in terms]
+    pw = np.empty((deg + 1, n + 1))
+    pw[0] = 1.0
+    if deg:
+        pw[1] = [_to_float(a) for a in A]
+    for e in range(2, deg + 1):
+        pw[e] = pw[e - 1] * pw[1]
+    cols = pw[:, None, :] if nx == 2 else np.ones((deg + 1, 1, 1))
+    ncols = cols.shape[2]
+    sign = np.zeros((n + 1, ncols), dtype=np.int8)
+    block = max(1, GRID_BLOCK // ncols)
+    for i0 in range(0, n + 1, block):
+        rows = pw[:, i0:i0 + block, None]
+        v = np.zeros((rows.shape[1], ncols))
+        size = np.zeros_like(v)
+        with np.errstate(all="ignore"):
+            for (m, _), c in zip(terms, fc):
+                term = c * rows[m[0]] * cols[m[1]]
+                v += term
+                size += np.abs(term)
+            sure = np.isfinite(v) & (np.abs(v) > gamma * size)
+        sign[i0:i0 + block] = np.where(sure, np.sign(v), 0)
+        unsure = np.argwhere(~sure)
+        unsure[:, 0] += i0
+        for i, j in unsure.tolist():
+            exact = sum(c * A[i] ** m[0] * A[j] ** m[1] for m, c in terms)
+            sign[i, j] = (exact > 0) - (exact < 0)
     return sign
 
 

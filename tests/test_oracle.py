@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from logdisc import oracle
 from logdisc.inertia import SymMatrixQ, critical_count
-from logdisc.oracle import (NEWTON_TOL, _damping, _LagrangeSystem,
+from logdisc.oracle import (LINE_SEARCH_HALVINGS, NEWTON_TOL, _damping,
+                            _exact_eval_grid, _LagrangeSystem, _newton,
                             _solve_steps, find_critical_points, grid_euler)
 from logdisc.parse import parse_poly
-from logdisc.poly import VarTable
+from logdisc.poly import Polynomial, VarTable
 
 
 def test_critical_points_one_variable_well(a1):
@@ -133,6 +136,8 @@ def _per_start_reference(F, assignment, mu, constraints=(), seed=0,
                 if np.linalg.norm(system(z - t * step)) <= np.linalg.norm(r):
                     break
                 t /= 2
+            else:
+                break   # every step length rejected: the start is stuck
             z = z - t * step
             if np.linalg.norm(z[:nx]) > 50 * ball_radius:
                 break
@@ -191,6 +196,67 @@ def test_damping_halves_until_the_residual_does_not_grow():
                                                          2.0 ** -30]
 
 
+def _one_batch_damping(system, Z, step, base):
+    """Every trial length of every row in one batch; the first accepted."""
+    ts = np.ldexp(1.0, -np.arange(LINE_SEARCH_HALVINGS))
+    trial = Z[:, None] - ts[None, :, None] * step[:, None]
+    accept = (np.linalg.norm(system.residual(
+        trial.reshape(-1, Z.shape[1])), axis=1).reshape(len(Z), -1)
+        <= base[:, None])
+    return np.where(accept.any(axis=1), ts[accept.argmax(axis=1)],
+                    np.ldexp(1.0, -LINE_SEARCH_HALVINGS))
+
+
+def test_blocked_damping_matches_one_batch():
+    # r(x) = x from x = 1 with bound 1 accepts the step 2^k first at
+    # t = 2^-(k-1), so these rows accept at every halving count, in every
+    # block of the search, and the last row rejects them all
+    vt = VarTable(("x",), ("u",))
+    system = _LagrangeSystem(parse_poly("1/2*x^2 + u", vt),
+                             {"u": Fraction(0)}, ())
+    step = np.ldexp(1.0, np.arange(LINE_SEARCH_HALVINGS + 2))[:, None]
+    Z = np.ones_like(step)
+    base = np.ones(len(Z))
+    t = _damping(system, Z, step, base)
+    assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
+    assert t[-1] == np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
+    assert t[-2] == np.ldexp(1.0, -(LINE_SEARCH_HALVINGS - 1))
+    assert len(set(t.tolist())) == LINE_SEARCH_HALVINGS + 1
+    # a two-variable system with random rows and steps
+    vt = VarTable(("x1", "x2"), ("u",))
+    system = _LagrangeSystem(parse_poly("x1^4 - 3*x1^2*x2 + x2^3 + u", vt),
+                             {"u": Fraction(1, 3)}, ())
+    rng = np.random.default_rng(5)
+    Z = rng.uniform(-3, 3, (200, 2))
+    step = rng.uniform(-1, 1, (200, 2)) * np.ldexp(1.0, rng.integers(
+        0, 40, (200, 1)))
+    base = np.linalg.norm(system.residual(Z), axis=1)
+    t = _damping(system, Z, step, base)
+    assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
+    assert len(set(t.tolist())) > 10
+
+
+def test_stuck_start_fails_without_stepping(monkeypatch):
+    # r(x) = x^2 + 1 from x = 1e-5: the Newton step is about 5e4, and
+    # only t < 2^-31 would keep |r| from growing, so the start fails at its
+    # first step and is left where it was (stepping it by 2^-30 would put
+    # it where t = 2^-28 is accepted, and it would crawl on)
+    vt = VarTable(("x",), ("u",))
+    system = _LagrangeSystem(parse_poly("1/3*x^3 + x + u", vt),
+                             {"u": Fraction(0)}, ())
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _damping(*args)
+
+    monkeypatch.setattr(oracle, "_damping", spy)
+    Z, ok, _ = _newton(system, np.array([[1e-5]]), 10.0)
+    assert len(calls) == 1
+    assert not ok[0]
+    assert Z[0, 0] == 1e-5
+
+
 def test_singular_jacobian_drops_only_its_start():
     J = np.array([[[2.0, 0.0], [0.0, 4.0]],
                   [[1.0, 2.0], [2.0, 4.0]],
@@ -239,3 +305,65 @@ def test_grid_rejects_three_variables():
     F = parse_poly("x1^2 + x2^2 + x3^2 + u", vt)
     with pytest.raises(ValueError):
         grid_euler(F, {"u": Fraction(1)})
+
+
+def _fraction_signs(F, assignment, radius, n):
+    """Signs of F on the grid of ``_exact_eval_grid``, point by point in
+    Fractions."""
+    q = F.evaluate(assignment)
+    nx = F.vt.nx
+    r = Fraction(radius)
+    xs = [r * (2 * i - n) / n for i in range(n + 1)]
+    out = np.zeros((n + 1, n + 1 if nx == 2 else 1), dtype=np.int8)
+    for i in range(n + 1):
+        for j in range(out.shape[1]):
+            point = (xs[i], xs[j])[:nx]
+            v = Fraction(0)
+            for m, c in q.terms.items():
+                for x, e in zip(point, m):
+                    c *= x ** e
+                v += c
+            out[i, j] = (v > 0) - (v < 0)
+    return out
+
+
+GRID_VT = {1: VarTable(("x1",), ("u",)), 2: VarTable(("x1", "x2"), ("u",))}
+
+
+@st.composite
+def grid_polys(draw):
+    nx = draw(st.sampled_from((1, 2)))
+    # integers up to 10^400 overflow float64; small ones make exact zeros
+    coeff = st.one_of(st.integers(-4, 4),
+                      st.integers(-10 ** 400, 10 ** 400),
+                      st.fractions(max_denominator=50))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * nx, st.integers(0, 1)), coeff,
+        max_size=6))
+    u = draw(st.sampled_from((Fraction(0), Fraction(-1), Fraction(2, 7))))
+    radius = draw(st.sampled_from((Fraction(10), Fraction(3, 2),
+                                   Fraction(7, 3))))
+    n = draw(st.integers(1, 12))
+    return Polynomial(GRID_VT[nx], terms), {"u": u}, radius, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_polys())
+@example((parse_poly("x1*x2 + u", GRID_VT[2]), {"u": Fraction(0)},
+          Fraction(10), 8))
+@example((parse_poly("x1^2 - 2*x2^2 + u", GRID_VT[2]), {"u": Fraction(0)},
+          Fraction(10), 12))
+@example((Polynomial(GRID_VT[2], {(4, 0, 0): 10 ** 400, (0, 1, 0): -1}),
+          {"u": Fraction(0)}, Fraction(10), 6))
+@example((parse_poly("(x1 - 1/3)^3*u", GRID_VT[1]), {"u": Fraction(1)},
+          Fraction(3, 2), 9))
+# at x1 = x2 = 1 the float sum of the scaled terms 2^62, 616, -460, -408
+# and -2^62 rounds up at every step and ends at +1024, while F = -63
+@example((Polynomial(GRID_VT[2], {(1, 0, 0): 2 ** 60, (0, 0, 0): 154,
+                                  (2, 0, 0): -115, (0, 2, 0): -102,
+                                  (0, 1, 0): -2 ** 60}),
+          {"u": Fraction(0)}, Fraction(1), 2))
+def test_filtered_grid_signs_equal_exact_signs(case):
+    F, point, radius, n = case
+    assert (_exact_eval_grid(F, point, radius, n).tolist()
+            == _fraction_signs(F, point, radius, n).tolist())
