@@ -319,8 +319,8 @@ def hessian_forms_at(spec, tau, T, sigma, point):
     """B^H and B^HF at one parameter point from the rationals of forms_at.
     The Hessian is specialised before its determinant is taken."""
     h = det_bareiss(_hessian(spec.F.evaluate(point)))
-    hvec = [c.evaluate(point).constant_value()
-            for c in coordinates(h, spec.gb, spec.basis)]
+    at = spec.vt.resolve(point)
+    hvec = [c.value_at(at) for c in coordinates(h, spec.gb, spec.basis)]
     BH = tau_form(tau, mat_vec(T, hvec))
     return BH, mat_mul(sigma, BH)
 

@@ -16,9 +16,10 @@ built dict that already satisfies the invariant and skips the check.
 ``exact_divide`` is a heap division (Monagan and Pearce, "Sparse
 polynomial division using a heap", J. Symbolic Comput. 2011): the
 remainder is one mutable dict, its monomials sit in a heap with lazy
-deletion, and each step cancels the largest one in place.  The same loop,
-``_divide_terms``, divides term dicts with int coefficients for the
-determinants over Z[s] in ``matrix``.
+deletion, and each step cancels the largest one in place.  The
+determinants in ``matrix`` need no division at all: they expand memoised
+minors over Z[s], with Python int coefficients, and divide by one integer
+at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
-from operator import add, neg, sub, truediv
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,12 @@ class VarTable:
             return self._index[name]
         except KeyError:
             raise KeyError("unknown variable %r" % name) from None
+
+    def resolve(self, assignment):
+        """An assignment {name: rational} as (index, Fraction) pairs, for
+        many calls of ``Polynomial.value_at``."""
+        return tuple((self.index(k), Fraction(v))
+                     for k, v in assignment.items())
 
 
 def degrevlex_key(expts):
@@ -298,6 +305,23 @@ class Polynomial:
                 out.pop(m2, None)
         return Polynomial._raw(self.vt, out)
 
+    def value_at(self, point):
+        """The rational value at a point from ``VarTable.resolve`` that
+        assigns every variable this polynomial uses."""
+        total = Fraction(0)
+        for m, c in self.terms.items():
+            free = sum(m)
+            for i, v in point:
+                e = m[i]
+                if e:
+                    c *= v ** e
+                    free -= e
+            if free:
+                raise ValueError("point leaves a variable of %s unassigned"
+                                 % self)
+            total += c
+        return total
+
     # -- leading data (global degrevlex) ----------------------------------
 
     def lead_monomial(self):
@@ -372,19 +396,18 @@ def make_primitive(p):
     return p * (1 / c)
 
 
-def _divide_terms(a, b, quotient):
-    """Heap division of the term dict a by the nonzero term dict b.
+def exact_divide(a, b):
+    """Return a / b when b divides a exactly, else None.
 
-    Returns the quotient's term dict, or None as soon as the leading
-    monomial of the remainder is not divisible by lm(b), or
-    ``quotient(c, lc(b))`` returns None for its coefficient c. The
-    coefficients may be Fractions or ints; a nonzero c never gives a zero
-    quotient coefficient.
+    Heap division: returns None as soon as the leading monomial of the
+    remainder is not divisible by lm(b).
     """
-    lm_b = max(b, key=degrevlex_key)
-    lc_b = b[lm_b]
-    tail = [(m, c) for m, c in b.items() if m != lm_b]
-    r = dict(a)
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    lm_b = b.lead_monomial()
+    lc_b = b.terms[lm_b]
+    tail = [(m, c) for m, c in b.terms.items() if m != lm_b]
+    r = dict(a.terms)
     heap = [(_heap_key(m), m) for m in r]
     heapify(heap)
     q = {}
@@ -396,9 +419,7 @@ def _divide_terms(a, b, quotient):
         d = monomial_div(m, lm_b)
         if d is None:
             return None
-        c = quotient(c, lc_b)
-        if c is None:
-            return None
+        c = c / lc_b
         q[d] = c
         # every monomial of d*tail(b) is below m, so m never comes back
         for mb, cb in tail:
@@ -413,15 +434,7 @@ def _divide_terms(a, b, quotient):
                     r[mm] = v
                 else:
                     del r[mm]
-    return q
-
-
-def exact_divide(a, b):
-    """Return a / b when b divides a exactly, else None."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = _divide_terms(a.terms, b.terms, truediv)
-    return None if q is None else Polynomial._raw(a.vt, q)
+    return Polynomial._raw(a.vt, q)
 
 
 def _coeffs_in(p, i):

@@ -4,8 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logdisc.matrix import (PolyMatrix, _zdivide, det_bareiss, discriminant,
-                            resultant, sylvester_matrix)
+from logdisc.matrix import (PolyMatrix, det_bareiss, discriminant, resultant,
+                            sylvester_matrix)
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable, exact_divide, poly_gcd
 
@@ -30,6 +30,25 @@ def det_cofactor(m):
     return acc
 
 
+def sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return (-1) ** inversions
+
+
+def det_leibniz(m):
+    """Sum over permutations of signed products of entries."""
+    acc = Polynomial.zero(m.vt)
+    for perm in permutations(range(m.rows)):
+        term = Polynomial.const(m.vt, sign(perm))
+        for i, j in enumerate(perm):
+            if m[i, j].is_zero:
+                break
+            term = term * m[i, j]
+        else:
+            acc = acc + term
+    return acc
+
+
 @st.composite
 def small_entry(draw, den):
     terms = {}
@@ -44,11 +63,10 @@ def small_entry(draw, den):
 @st.composite
 def small_matrices(draw):
     """Square matrices up to 5 x 5 with rational coefficients whose
-    denominators differ from row to row. ``pivot`` forces a zero pivot,
-    and so a row swap in Bareiss elimination, at the first step ("first":
-    the top-left entry is zero) or at the second ("second": the top-left
-    2 x 2 block is singular, because row 1 starts with a multiple of row
-    0)."""
+    denominators differ from row to row. ``pivot`` makes a leading minor
+    vanish, the case where elimination would have to swap rows: the 1 x 1
+    one ("first": the top-left entry is zero) or the 2 x 2 one ("second":
+    row 1 starts with a multiple of row 0)."""
     n = draw(st.integers(1, 5))
     ent = []
     for _ in range(n):
@@ -76,15 +94,50 @@ def test_bareiss_matches_cofactor(m):
     assert det_bareiss(m) == det_cofactor(m)
 
 
-def test_integer_bareiss_division_must_be_exact():
-    one = (0, 0, 0, 0)
-    u = (0, 1, 0, 0)
-    a = (0, 0, 1, 0)
-    assert _zdivide({u: 6, a: -4}, {one: 2}) == {u: 3, a: -2}
-    with pytest.raises(AssertionError, match="Bareiss division must be exact"):
-        _zdivide({u: 3}, {one: 2})          # nonzero integer remainder
-    with pytest.raises(AssertionError, match="Bareiss division must be exact"):
-        _zdivide({u: 2}, {a: 1})            # a not divisible monomial
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices up to 6 x 6 whose entries are zero half the time,
+    with a different denominator in each row, and possibly one row or one
+    column forced to zero."""
+    n = draw(st.integers(1, 6))
+    ent = []
+    for _ in range(n):
+        den = draw(st.sampled_from([1, 2, 3, 5, 7, 12]))
+        ent.append([draw(small_entry(den)) if draw(st.booleans())
+                    else Polynomial.zero(VT) for _ in range(n)])
+    zero = draw(st.sampled_from(["none", "row", "column"]))
+    k = draw(st.integers(0, n - 1))
+    for i in range(n):
+        if zero == "row":
+            ent[k][i] = Polynomial.zero(VT)
+        elif zero == "column":
+            ent[i][k] = Polynomial.zero(VT)
+    return PolyMatrix(VT, ent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_det_matches_leibniz(m):
+    assert det_bareiss(m) == det_leibniz(m)
+
+
+def test_det_divides_out_the_row_scale_exactly():
+    # rows scaled by 6 and by 35, the lcm of their entries' denominators
+    m = PolyMatrix(VT, [[p("1/2*u"), p("1/3*a")],
+                        [p("1/5"), p("1/7*b")]])
+    assert det_bareiss(m) == p("1/14*u*b - 1/15*a")
+    # the scale does not divide the determinant over Z: a true fraction
+    assert det_bareiss(PolyMatrix(VT, [[p("3/2*u")]])).terms == {
+        (0, 1, 0, 0): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_det_of_permutation_matrices_is_their_sign(n):
+    one, zero = p("1"), p("0")
+    for perm in permutations(range(n)):
+        m = PolyMatrix(VT, [[one if j == perm[i] else zero for j in range(n)]
+                            for i in range(n)])
+        assert det_bareiss(m) == Polynomial.const(VT, sign(perm))
 
 
 def test_det_identity():
@@ -97,9 +150,9 @@ def test_det_singular():
 
 
 def test_det_non_square_rejected():
-    m = PolyMatrix(VT, [[p("1"), p("0")]])
-    with pytest.raises(ValueError):
-        det_bareiss(m)
+    for rows in ([[p("1"), p("0")]], [[p("1")], [p("u")], [p("a")]]):
+        with pytest.raises(ValueError):
+            det_bareiss(PolyMatrix(VT, rows))
 
 
 def test_resultant_equals_sylvester_det():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from logdisc.matrix import _zdivide
 from logdisc.parse import parse_poly
 from logdisc.poly import (Polynomial, VarTable, exact_divide, make_primitive,
                           monomial_div, poly_gcd, squarefree_core)
@@ -54,10 +53,6 @@ def test_ring_axioms(a, b, c):
         assert all(type(v) is Fraction and v for v in q.terms.values())
 
 
-def _int_terms(q):
-    return {m: int(c) for m, c in q.terms.items()}
-
-
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys(), st.tuples(*[expts] * 4), coeffs)
 @example(p("x - y"), p("x + y"), (0, 2, 0, 0), 1)   # x^2 - y^2 + y^2 = x^2
@@ -65,8 +60,8 @@ def _int_terms(q):
 def test_exact_divide_recovers_the_cofactor(a, b, rm, rc):
     assume(not b.is_zero)
     assert exact_divide(a * b, b) == a
-    # the same heap loop over Z with integer quotients
-    assert _zdivide(_int_terms(a * b), _int_terms(b)) == _int_terms(a)
+    # a divisor whose coefficients are not integers: fractional quotients
+    assert exact_divide(a * b, b * Fraction(2, 3)) == a * Fraction(3, 2)
     # a nonzero monomial that lm(b) does not divide is not a multiple of b
     # (b would have to be a monomial dividing it), so b does not divide
     # a*b + r; in the examples the bad term shows up only mid-division
@@ -94,6 +89,21 @@ def test_evaluate_partial_and_full():
     assert v.constant_value() == Fraction(2, 125)
     half = q.evaluate({"b": Fraction(2)})
     assert half == p("4*a")
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.lists(st.fractions(max_denominator=7), min_size=4,
+                         max_size=4))
+def test_value_at_matches_evaluate(q, values):
+    full = dict(zip(VT.names, values))
+    value = q.value_at(VT.resolve(full))
+    assert type(value) is Fraction
+    assert value == q.evaluate(full).constant_value()
+    # a point that leaves a used variable free has no rational value
+    partial = dict(zip(VT.names[1:], values))
+    if any(m[0] for m in q.terms):
+        with pytest.raises(ValueError):
+            q.value_at(VT.resolve(partial))
 
 
 def test_product_of_conjugates():
