@@ -8,13 +8,12 @@ from .groebner import (ParamIdeal, GroebnerBasis, QuotientBasis,
                        ReductionCertificate, buchberger, normal_form,
                        standard_basis, coordinates, NonConstantScaleError,
                        InfiniteQuotientError)
-from .hyper import (DeformationSpec, WeightSystem, MulTables, LogMatrix,
-                    TraceForms, derive_weights, mul_tables, log_matrix,
-                    trace_forms, maxwell_bifurcation,
-                    NotQuasihomogeneousError)
 from .ci import (CISpec, MinorIdeal, CITables, GMCoefficients, minor_ideal,
                  ci_tables, discriminant_and_bifurcation, gm_coefficients,
-                 ci_weights, hyper_to_ci)
+                 ci_weights, hyper_to_ci, NotQuasihomogeneousError)
+from .hyper import (DeformationSpec, WeightSystem, LogMatrix, TraceForms,
+                    derive_weights, mul_tables, log_matrix, trace_forms,
+                    maxwell_bifurcation)
 from .inertia import (SymMatrixQ, InertiaTriple, ChiReport, inertia,
                       critical_count, euler_characteristics,
                       DegeneratePointError)

@@ -1,17 +1,86 @@
-"""Complete-intersection pipeline: minor ideals, the matrix P(s) = rho(t) - u*Id,
-structure tensors W^c, the trace form T(t), and the first-order connection
+"""The quotient algebra of the minor ideal of maps (F_1(x,t) - u, F_2(x,t),
+..., F_k(x,t)) with distinguished projection u; a hypersurface is the case
+k = 1. Structure constants tau^l, traces zeta, the trace form T(t), the
+matrix P(s) = rho(t) - u*Id, weights, and the first-order connection
 coefficient matrices in the quasihomogeneous case."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from functools import cached_property
+from itertools import combinations, product
+from math import gcd
 
 from .groebner import ParamIdeal, buchberger, coordinates, standard_basis
-from .hyper import (NotQuasihomogeneousError, _solve_weights,
-                    structure_constants, tau_form)
 from .matrix import PolyMatrix, det_bareiss
 from .poly import Polynomial
+
+
+class NotQuasihomogeneousError(ValueError):
+    """No positive integer weight system makes every monomial of f0 equal-weight."""
+
+
+def _solve_weights(monos, nx):
+    diffs = [tuple(a - b for a, b in zip(m, monos[0])) for m in monos[1:]]
+    diffs = [d for d in diffs if any(d)]
+    if not diffs:
+        return [1] * nx
+    basis = _rational_nullspace(diffs, nx)
+    if not basis:
+        return None
+    if len(basis) == 1:
+        v = basis[0]
+        if all(c > 0 for c in v) or all(c < 0 for c in v):
+            if v[0] < 0:
+                v = [-c for c in v]
+            den = 1
+            for c in v:
+                den = den * c.denominator // gcd(den, c.denominator)
+            ints = [int(c * den) for c in v]
+            g = 0
+            for c in ints:
+                g = gcd(g, c)
+            return [c // g for c in ints]
+        return None
+    # underdetermined: search small positive integer solutions
+    for bound in range(1, 13):
+        for w in product(range(1, bound + 1), repeat=nx):
+            if max(w) != bound:
+                continue
+            if all(sum(di * wi for di, wi in zip(d, w)) == 0 for d in diffs):
+                return list(w)
+    return None
+
+
+def _rational_nullspace(rows, n):
+    m = [[Fraction(c) for c in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = m[r][c]
+        m[r] = [x / piv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
 
 
 @dataclass
@@ -92,20 +161,83 @@ def minor_ideal(spec):
     return MinorIdeal(minors, ParamIdeal(tuple(gens)))
 
 
+def structure_constants(gb, qb, uname):
+    """Structure constants tau^l (one PolyMatrix per basis element) and
+    traces zeta of the quotient by gb in the standard basis qb; they must
+    not involve the distinguished parameter uname."""
+    vt = qb.vt
+    mu = qb.mu
+    es = qb.polynomials()
+    zero = Polynomial.zero(vt)
+    tau = [[[zero] * mu for _ in range(mu)] for _ in range(mu)]
+    for i in range(mu):
+        for j in range(i, mu):
+            coords = coordinates(es[i] * es[j], gb, qb)
+            for l in range(mu):
+                tau[l][i][j] = coords[l]
+                tau[l][j][i] = coords[l]
+    for t in tau:
+        for row in t:
+            for e in row:
+                if e.degree_in(uname) > 0:
+                    raise ValueError("structure constants must not involve u")
+    return [PolyMatrix(vt, t) for t in tau], traces(tau)
+
+
+def traces(tau):
+    """zeta_r = sum_l tau^l_{r,l}, the trace of multiplication by basis
+    element r; tau is a list of row lists of polynomials or rationals."""
+    return [sum(t[r][l] for l, t in enumerate(tau)) for r in range(len(tau))]
+
+
+def tau_form(tau, coeffs):
+    """The symmetric form sum_l coeffs_l * tau^l on row lists of polynomials
+    or rationals.
+
+    With coeffs = zeta it is the trace form T, T_ij = tr(e_i e_j). With
+    coeffs = T h, h the coordinates of a polynomial, it is the trace form
+    of multiplication by that polynomial: B^H when h is the Hessian.
+    """
+    mu = len(tau)
+    return [[sum(c * t[i][j] for c, t in zip(coeffs, tau)) for j in range(mu)]
+            for i in range(mu)]
+
+
+def multiplication_rows(tau, coeffs):
+    """Matrix of multiplication by sum_l coeffs_l * e_l, tau as in tau_form:
+    row i holds the coordinates of its product with e_i, sum_l coeffs_l *
+    tau^m_{l,i} in column m."""
+    mu = len(tau)
+    return [[sum(c * tau[m][l][i] for l, c in enumerate(coeffs))
+             for m in range(mu)] for i in range(mu)]
+
+
 @dataclass
 class CITables:
-    """Standard basis phi, the matrix P(s), tensors W^c, traces zeta, T(t)."""
+    """The quotient algebra: standard basis phi, reduced Groebner basis gb,
+    the matrix P(s), structure constants tau and traces zeta.
+
+    tau[l] is the mu x mu matrix whose (i, j) entry is the coefficient of
+    basis element l in the product of basis elements i and j; zeta[r] is
+    the trace of multiplication by basis element r.
+    """
 
     phi: object
     gb: object
     P: PolyMatrix
-    W: list
+    tau: list
     zeta: list
-    T: PolyMatrix
 
     @property
     def mu(self):
         return self.phi.mu
+
+    @cached_property
+    def T(self):
+        """The trace form T(t), built on first use: the point commands form
+        T over Q at their point instead."""
+        return PolyMatrix(self.P.vt,
+                          tau_form([t.entries for t in self.tau], self.zeta))
 
 
 def ci_tables(spec, mi, basis_hint=None):
@@ -114,17 +246,17 @@ def ci_tables(spec, mi, basis_hint=None):
     vt = spec.vt
     gb = buchberger(mi.combined)
     qb = standard_basis(gb, ordering_hint=basis_hint)
-    W, zeta = structure_constants(gb, qb, spec.u)
-    T = PolyMatrix(vt, tau_form([w.entries for w in W], zeta))
-    rows = [coordinates(spec.maps[0] * phi, gb, qb) for phi in qb.polynomials()]
-    P = PolyMatrix(vt, rows)
+    tau, zeta = structure_constants(gb, qb, spec.u)
+    # one normal form: the products with the basis follow from tau
+    P = PolyMatrix(vt, multiplication_rows([t.entries for t in tau],
+                                           coordinates(spec.maps[0], gb, qb)))
     u = Polynomial.var(vt, spec.u)
     shifted = P + PolyMatrix.identity(vt, qb.mu).scale(u)
     for row in shifted.entries:
         for e in row:
             if e.degree_in(spec.u) > 0:
                 raise AssertionError("P + u*Id must be free of u")
-    return CITables(qb, gb, P, W, zeta, T)
+    return CITables(qb, gb, P, tau, zeta)
 
 
 def discriminant_and_bifurcation(tables):
@@ -160,9 +292,7 @@ def ci_weights(spec):
     monos = []
     for g in groups:
         monos.extend([tuple(a - b for a, b in zip(m, g[0])) for m in g[1:]])
-    base = (0,) * nx
-    w = _solve_weights([base] + [tuple(a + b for a, b in zip(base, d))
-                                 for d in monos], nx)
+    w = _solve_weights([(0,) * nx] + monos, nx)
     if w is None:
         raise NotQuasihomogeneousError("maps admit no common positive "
                                        "integer weight system")
@@ -174,14 +304,14 @@ def ci_weights(spec):
 @dataclass
 class GMCoefficients:
     """Coefficient matrices B_j of the first-order connection, built from
-    the multiplication tensors and the Euler-field divergence terms."""
+    the structure constants and the Euler-field divergence terms."""
 
     trM0: int
     R: list        # R[j] is the mu x mu matrix R^l_{i,j} indexed [i][l]
-    B: list        # B[j] entry (i, l) = trM0 * w^l_{i,j} + R^l_{i,j}
+    B: list        # B[j] entry (i, l) = trM0 * tau^l_{i,j} + R^l_{i,j}
 
 
-def gm_coefficients(spec, mi, tables, ws):
+def gm_coefficients(spec, tables, ws):
     """Connection coefficients in the quasihomogeneous case, with the Euler
     lifting h_{j,p} = phi_j * w(x_p) * x_p."""
     vt = spec.vt
@@ -201,7 +331,7 @@ def gm_coefficients(spec, mi, tables, ws):
                 div = div + (phis[i] * phis[j] * euler[p]).diff(x)
             coords = coordinates(div, tables.gb, tables.phi)
             rrows.append(coords)
-            brows.append([tables.W[l][i, j] * trM0 + coords[l]
+            brows.append([tables.tau[l][i, j] * trM0 + coords[l]
                           for l in range(mu)])
         R.append(PolyMatrix(vt, rrows))
         B.append(PolyMatrix(vt, brows))
@@ -210,12 +340,6 @@ def gm_coefficients(spec, mi, tables, ws):
 
 def hyper_to_ci(spec_h):
     """Recast a hypersurface deformation F = f0 + u + sum(s_i e_i) as the
-    k=1 family F_1 - u with F_1 = -(f0 + sum(s_i e_i)): the zero fiber of F
-    becomes the graph of the projection u."""
-    vt = spec_h.vt
-    es = spec_h.basis_polys()
-    body = spec_h.f0
-    for name, e in zip(spec_h.params[1:], es[1:]):
-        body = body + Polynomial.var(vt, name) * e
-    u = Polynomial.var(vt, spec_h.u)
-    return CISpec((-body - u,), spec_h.params)
+    k=1 family -F = F_1 - u with F_1 = -(f0 + sum(s_i e_i)): the zero fiber
+    of F becomes the graph of the projection u."""
+    return CISpec((-spec_h.F,), spec_h.params)

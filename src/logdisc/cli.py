@@ -7,6 +7,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from . import ci as ci_mod
 from . import hyper as hy
@@ -65,7 +66,8 @@ def read_input_file(path):
 
 
 class LoadedSpec:
-    """Everything a command might need, built lazily from the input file."""
+    """Everything a command might need, built lazily from the input file.
+    A hypersurface's algebra is built with its spec, as the k = 1 case."""
 
     def __init__(self, fields, basis_override=None):
         kind = _unquote(fields.get("kind", "hypersurface"))
@@ -86,48 +88,48 @@ class LoadedSpec:
             basis_text = [b.strip() for b in basis_text.split(",")]
         self.basis_text = basis_text
         self.fields = fields
-        self._spec = None
-        self._cspec = None
 
-    def hyper_spec(self):
+    @cached_property
+    def spec(self):
         if self.kind != "hypersurface":
             raise InputError("this command needs a hypersurface input")
-        if self._spec is None:
-            if "f0" not in self.fields:
-                raise InputError("f0 is required for hypersurface inputs")
-            f0 = parse_poly(_unquote(self.fields["f0"]), self.vt)
-            if self.basis_text is None:
-                raise InputError("basis is required for hypersurface inputs")
-            basis = [parse_poly(b, self.vt) for b in self.basis_text]
-            if len(basis) != len(self.params):
-                raise InputError("basis and params must have equal length")
-            self._spec = hy.DeformationSpec.build(f0, basis, self.params)
-        return self._spec
-
-    def ci_spec(self):
-        if self._cspec is None:
-            if self.kind == "complete-intersection":
-                if "maps" not in self.fields:
-                    raise InputError("maps is required for "
-                                     "complete-intersection inputs")
-                maps = [parse_poly(m, self.vt)
-                        for m in _parse_list(self.fields["maps"])]
-                self._cspec = ci_mod.CISpec(tuple(maps), self.params)
-            else:
-                self._cspec = ci_mod.hyper_to_ci(self.hyper_spec())
-        return self._cspec
-
-    def ci_hint(self):
-        if self.kind == "hypersurface":
-            return list(self.hyper_spec().basis.monomials)
+        if "f0" not in self.fields:
+            raise InputError("f0 is required for hypersurface inputs")
+        f0 = parse_poly(_unquote(self.fields["f0"]), self.vt)
         if self.basis_text is None:
-            return None
-        hint = []
-        nx = self.vt.nx
-        for b in self.basis_text:
-            p = parse_poly(b, self.vt)
-            hint.append(p.lead_monomial()[:nx])
-        return hint
+            raise InputError("basis is required for hypersurface inputs")
+        basis = [parse_poly(b, self.vt) for b in self.basis_text]
+        if len(basis) != len(self.params):
+            raise InputError("basis and params must have equal length")
+        return hy.DeformationSpec.build(f0, basis, self.params)
+
+    @cached_property
+    def cspec(self):
+        if self.kind == "hypersurface":
+            return ci_mod.hyper_to_ci(self.spec)
+        if "maps" not in self.fields:
+            raise InputError("maps is required for "
+                             "complete-intersection inputs")
+        maps = [parse_poly(m, self.vt)
+                for m in _parse_list(self.fields["maps"])]
+        return ci_mod.CISpec(tuple(maps), self.params)
+
+    @cached_property
+    def algebra(self):
+        if self.kind == "hypersurface":
+            return hy.mul_tables(self.spec)
+        mi = ci_mod.minor_ideal(self.cspec)
+        hint = None
+        if self.basis_text is not None:
+            hint = [parse_poly(b, self.vt).lead_monomial()[:self.vt.nx]
+                    for b in self.basis_text]
+        return ci_mod.ci_tables(self.cspec, mi, basis_hint=hint)
+
+    @cached_property
+    def logm(self):
+        spec = self.spec
+        ws = hy.derive_weights(spec.f0, spec.basis)
+        return hy.log_matrix(spec, ws, spec.algebra)
 
 
 def parse_param_point(text, vt):
@@ -176,19 +178,18 @@ def _print_matrix(name, rows):
         print("  [" + ", ".join(row) + "]")
 
 
-def _hyper_bundle(loaded):
-    spec = loaded.hyper_spec()
-    ws = hy.derive_weights(spec.f0, spec.basis)
-    tables = hy.mul_tables(spec)
-    logm = hy.log_matrix(spec, ws, tables)
-    return spec, ws, tables, logm
+def _at_point(loaded, args, use_sigma):
+    """The --params point, and tau, T and Sigma (use_sigma) or P there. The
+    algebra and the form are built before the point is read."""
+    form = loaded.logm.sigma if use_sigma else loaded.algebra.P
+    point = parse_param_point(args.params or "", loaded.vt)
+    return (point,) + hy.forms_at(loaded.algebra.tau, form, point)
 
 
 def cmd_tables(loaded, args):
-    spec = loaded.hyper_spec()
-    tables = hy.mul_tables(spec)
-    out = {"mu": spec.mu,
-           "basis": _basis_strings(spec.basis),
+    tables = loaded.spec.algebra
+    out = {"mu": tables.mu,
+           "basis": _basis_strings(tables.phi),
            "tau": [_mat(t) for t in tables.tau],
            "zeta": [str(z) for z in tables.zeta]}
 
@@ -203,9 +204,9 @@ def cmd_tables(loaded, args):
 
 
 def cmd_logfields(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    out = {"mu": spec.mu,
-           "basis": _basis_strings(spec.basis),
+    logm = loaded.logm
+    out = {"mu": loaded.spec.mu,
+           "basis": _basis_strings(loaded.spec.basis),
            "Sigma": _mat(logm.sigma),
            "detSigma": str(logm.discriminant)}
 
@@ -217,23 +218,21 @@ def cmd_logfields(loaded, args):
 
 
 def cmd_discriminant(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    out = {"mu": spec.mu, "detSigma": str(logm.discriminant)}
+    out = {"mu": loaded.spec.mu, "detSigma": str(loaded.logm.discriminant)}
     _emit(out, args, lambda o: print(o["detSigma"]))
     return EXIT_OK
 
 
 def cmd_bifurcation(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    detT = det_bareiss(hy.tables_T(logm, tables))
-    out = {"mu": spec.mu, "detT": str(detT)}
+    spec = loaded.spec
+    out = {"mu": spec.mu, "detT": str(det_bareiss(spec.algebra.T))}
     _emit(out, args, lambda o: print(o["detT"]))
     return EXIT_OK
 
 
 def cmd_maxwell(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    bif, maxwell = hy.maxwell_bifurcation(logm, tables, spec.u)
+    spec = loaded.spec
+    bif, maxwell = hy.maxwell_bifurcation(loaded.logm, spec.algebra, spec.u)
     out = {"mu": spec.mu, "detT": str(bif), "maxwell": str(maxwell)}
 
     def text(o):
@@ -244,8 +243,8 @@ def cmd_maxwell(loaded, args):
 
 
 def cmd_traceforms(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    tf = hy.trace_forms(spec, ws, tables, logm)
+    spec = loaded.spec
+    tf = hy.trace_forms(spec, spec.algebra, loaded.logm)
     out = {"mu": spec.mu,
            "T": _mat(tf.T),
            "BH": _mat(tf.BH),
@@ -260,9 +259,8 @@ def cmd_traceforms(loaded, args):
 
 
 def cmd_euler(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    point = parse_param_point(args.params or "", spec.vt)
-    tau, T, sigma = hy.forms_at(tables.tau, logm.sigma, point)
+    spec = loaded.spec
+    point, tau, T, sigma = _at_point(loaded, args, True)
     bh, bhf = map(SymMatrixQ,
                   hy.hessian_forms_at(spec, tau, T, sigma, point))
     rep = euler_characteristics(bh, bhf, spec.vt.nx)
@@ -286,29 +284,23 @@ def _triple(tri):
 
 
 def cmd_count(loaded, args):
-    spec, ws, tables, logm = _hyper_bundle(loaded)
-    point = parse_param_point(args.params or "", spec.vt)
-    _, T, sigma = hy.forms_at(tables.tau, logm.sigma, point)
-    st = SymMatrixQ(mat_mul(sigma, T))
+    """`count` (hypersurfaces) takes the signature of Sigma T, `ci-count`
+    that of P T."""
+    _, _, T, form = _at_point(loaded, args, args.command == "count")
+    st = SymMatrixQ(mat_mul(form, T))
     signed = critical_count(st)
-    out = {"mu": spec.mu, "inertia": _triple(inertia(st)), "count": signed}
+    out = {"mu": loaded.algebra.mu, "inertia": _triple(inertia(st)),
+           "count": signed}
     _emit(out, args,
           lambda o: print("signed critical point count = %d" % o["count"]))
     return EXIT_OK
 
 
-def _ci_bundle(loaded):
-    cspec = loaded.ci_spec()
-    mi = ci_mod.minor_ideal(cspec)
-    tables = ci_mod.ci_tables(cspec, mi, basis_hint=loaded.ci_hint())
-    return cspec, mi, tables
-
-
 def cmd_ci_tables(loaded, args):
-    cspec, mi, tables = _ci_bundle(loaded)
+    tables = loaded.algebra
     out = {"mu": tables.mu,
            "basis": _basis_strings(tables.phi),
-           "tau": [_mat(w) for w in tables.W],
+           "tau": [_mat(t) for t in tables.tau],
            "zeta": [str(z) for z in tables.zeta],
            "T": _mat(tables.T),
            "P": _mat(tables.P)}
@@ -323,7 +315,7 @@ def cmd_ci_tables(loaded, args):
 
 
 def cmd_ci_discriminant(loaded, args):
-    cspec, mi, tables = _ci_bundle(loaded)
+    tables = loaded.algebra
     detP, detT = ci_mod.discriminant_and_bifurcation(tables)
     out = {"mu": tables.mu, "detP": str(detP), "detT": str(detT)}
 
@@ -334,23 +326,11 @@ def cmd_ci_discriminant(loaded, args):
     return EXIT_OK
 
 
-def cmd_ci_count(loaded, args):
-    cspec, mi, tables = _ci_bundle(loaded)
-    point = parse_param_point(args.params or "", cspec.vt)
-    _, T, P = hy.forms_at(tables.W, tables.P, point)
-    pt_mat = SymMatrixQ(mat_mul(P, T))
-    signed = critical_count(pt_mat)
-    out = {"mu": tables.mu, "inertia": _triple(inertia(pt_mat)),
-           "count": signed}
-    _emit(out, args,
-          lambda o: print("signed critical point count = %d" % o["count"]))
-    return EXIT_OK
-
-
 def cmd_gm(loaded, args):
-    cspec, mi, tables = _ci_bundle(loaded)
+    tables = loaded.algebra
+    cspec = loaded.cspec
     ws = ci_mod.ci_weights(cspec)
-    gm = ci_mod.gm_coefficients(cspec, mi, tables, ws)
+    gm = ci_mod.gm_coefficients(cspec, tables, ws)
     out = {"mu": tables.mu,
            "gm": {"trM0": gm.trM0,
                   "x_weights": list(ws.x_weights),
@@ -366,44 +346,31 @@ def cmd_gm(loaded, args):
 
 
 def cmd_oracle_check(loaded, args):
-    point_text = args.params or ""
-    if loaded.kind == "hypersurface":
-        spec, ws, tables, logm = _hyper_bundle(loaded)
-        point = parse_param_point(point_text, spec.vt)
-        tau, T, sigma = hy.forms_at(tables.tau, logm.sigma, point)
-        exact = critical_count(SymMatrixQ(mat_mul(sigma, T)))
-        rep = find_critical_points(spec.F, point, spec.mu,
-                                   ball_radius=args.ball)
-        out = {"mu": spec.mu,
-               "oracle": {"count": len(rep.points),
-                          "signed": rep.signed_count,
-                          "exact_signature": exact,
-                          "agree": rep.signed_count == exact}}
-        if spec.vt.nx <= 2:
-            bh, bhf = map(SymMatrixQ,
-                          hy.hessian_forms_at(spec, tau, T, sigma, point))
-            chi = euler_characteristics(bh, bhf, spec.vt.nx)
-            g = grid_euler(spec.F, point, ball_radius=args.ball,
-                           resolution=args.resolution)
-            out["oracle"]["grid"] = {
-                "resolution": g.resolution, "stable": g.stable,
-                "chi_ge": g.chi_ge, "chi_le": g.chi_le, "chi_eq": g.chi_eq}
-            out["oracle"]["chi_agree"] = (
-                g.stable and (g.chi_ge, g.chi_le, g.chi_eq)
-                == (chi.chi_ge, chi.chi_le, chi.chi_eq))
-    else:
-        cspec, mi, tables = _ci_bundle(loaded)
-        point = parse_param_point(point_text, cspec.vt)
-        _, T, P = hy.forms_at(tables.W, tables.P, point)
-        exact = critical_count(SymMatrixQ(mat_mul(P, T)))
-        rep = find_critical_points(cspec.maps[0], point, tables.mu,
-                                   ball_radius=args.ball,
-                                   constraints=cspec.maps[1:])
-        out = {"mu": tables.mu,
-               "oracle": {"count": len(rep.points),
-                          "signed": rep.signed_count,
-                          "exact_signature": exact,
-                          "agree": rep.signed_count == exact}}
+    """The finder runs on F for a hypersurface (with Sigma, and the grid in
+    at most two variables), on the maps for a complete intersection (P)."""
+    hyper = loaded.kind == "hypersurface"
+    point, tau, T, form = _at_point(loaded, args, hyper)
+    exact = critical_count(SymMatrixQ(mat_mul(form, T)))
+    maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
+    rep = find_critical_points(maps[0], point, loaded.algebra.mu,
+                               ball_radius=args.ball, constraints=maps[1:])
+    out = {"mu": loaded.algebra.mu,
+           "oracle": {"count": len(rep.points),
+                      "signed": rep.signed_count,
+                      "exact_signature": exact,
+                      "agree": rep.signed_count == exact}}
+    if hyper and loaded.vt.nx <= 2:
+        bh, bhf = map(SymMatrixQ,
+                      hy.hessian_forms_at(loaded.spec, tau, T, form, point))
+        chi = euler_characteristics(bh, bhf, loaded.vt.nx)
+        g = grid_euler(maps[0], point, ball_radius=args.ball,
+                       resolution=args.resolution)
+        out["oracle"]["grid"] = {
+            "resolution": g.resolution, "stable": g.stable,
+            "chi_ge": g.chi_ge, "chi_le": g.chi_le, "chi_eq": g.chi_eq}
+        out["oracle"]["chi_agree"] = (
+            g.stable and (g.chi_ge, g.chi_le, g.chi_eq)
+            == (chi.chi_ge, chi.chi_le, chi.chi_eq))
 
     def text(o):
         oc = o["oracle"]
@@ -429,7 +396,7 @@ COMMANDS = {
     "count": cmd_count,
     "ci-tables": cmd_ci_tables,
     "ci-discriminant": cmd_ci_discriminant,
-    "ci-count": cmd_ci_count,
+    "ci-count": cmd_count,
     "gm": cmd_gm,
     "oracle-check": cmd_oracle_check,
 }

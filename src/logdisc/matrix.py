@@ -56,16 +56,8 @@ class PolyMatrix:
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.entries == other.entries)
 
-    def transpose(self):
-        return PolyMatrix(self.vt, [[self.entries[i][j] for i in range(self.rows)]
-                                    for j in range(self.cols)])
-
     def __add__(self, other):
         return PolyMatrix(self.vt, [[a + b for a, b in zip(r1, r2)]
-                                    for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return PolyMatrix(self.vt, [[a - b for a, b in zip(r1, r2)]
                                     for r1, r2 in zip(self.entries, other.entries)])
 
     def scale(self, c):
@@ -77,10 +69,6 @@ class PolyMatrix:
                 raise ValueError("dimension mismatch")
             return PolyMatrix(self.vt, mat_mul(self.entries, other.entries))
         return self.scale(other)
-
-    def evaluate(self, assignment):
-        return PolyMatrix(self.vt, [[e.evaluate(assignment) for e in row]
-                                    for row in self.entries])
 
     def values(self, assignment):
         """Row lists of rationals at a point assigning every variable the

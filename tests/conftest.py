@@ -21,8 +21,7 @@ class Bundle:
     @property
     def tf(self):
         if self._tf is None:
-            self._tf = hyper.trace_forms(self.spec, self.ws, self.tables,
-                                         self.logm)
+            self._tf = hyper.trace_forms(self.spec, self.tables, self.logm)
         return self._tf
 
     def p(self, text):

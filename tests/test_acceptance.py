@@ -267,7 +267,7 @@ def test_criterion_10_symmetry_suite(ex1, e6):
         spec = ci.hyper_to_ci(b.spec)
         mi = ci.minor_ideal(spec)
         tables = ci.ci_tables(spec, mi, basis_hint=b.spec.basis.monomials)
-        for w in tables.W:
+        for w in tables.tau:
             assert w.is_symmetric()
         assert (tables.P * tables.T).is_symmetric()
         for point in _nondegenerate_samples(b, rng, 3):
@@ -282,7 +282,7 @@ def test_criterion_11_connection_coefficients(ex1, a2):
         mi = ci.minor_ideal(spec)
         tables = ci.ci_tables(spec, mi, basis_hint=b.spec.basis.monomials)
         ws = ci.ci_weights(spec)
-        gm = ci.gm_coefficients(spec, mi, tables, ws)
+        gm = ci.gm_coefficients(spec, tables, ws)
         assert gm.trM0 == sum(ws.f_weights)
         phis = tables.phi.polynomials()
         mu = tables.mu
@@ -303,4 +303,4 @@ def test_criterion_11_connection_coefficients(ex1, a2):
                 for l in range(mu):
                     assert gm.R[j][i, l] == coords[l]
                     assert gm.B[j][i, l] == \
-                        tables.W[l][i, j] * gm.trM0 + coords[l]
+                        tables.tau[l][i, j] * gm.trM0 + coords[l]

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from logdisc import ci
+from logdisc.groebner import ParamIdeal, buchberger, coordinates, standard_basis
 from logdisc.hyper import NotQuasihomogeneousError
 from logdisc.matrix import PolyMatrix, det_bareiss
 from logdisc.parse import parse_poly
@@ -60,7 +61,20 @@ def test_u_must_be_first_parameter():
 # hypersurface recast as a one-map family
 
 
-def test_hypersurface_recast_matches_log_matrix(ex1):
+def jacobian_rows(b):
+    """Rows coordinates(F * e_i) of multiplication by F, reduced by a
+    Groebner basis of the partials of F built here, apart from the
+    minor-ideal path."""
+    F = b.spec.F
+    gb = buchberger(ParamIdeal(tuple(F.diff(x) for x in b.vt.x_vars)))
+    qb = standard_basis(gb, ordering_hint=b.spec.basis.monomials)
+    return PolyMatrix(b.vt, [coordinates(F * e, gb, qb)
+                             for e in qb.polynomials()])
+
+
+def test_hypersurface_recast_matches_log_matrix(ex1, a2, e6):
+    # Identities: the hypersurface algebra is ci_tables of this same
+    # one-map family, so these hold by construction.
     spec = ci.hyper_to_ci(ex1.spec)
     assert spec.k == 1
     hint = ex1.spec.basis.monomials
@@ -73,8 +87,12 @@ def test_hypersurface_recast_matches_log_matrix(ex1):
     assert detT == det_bareiss(ex1.tf.T)
     assert tables.T == ex1.tf.T
     assert tables.zeta == ex1.tables.zeta
-    for w, t in zip(tables.W, ex1.tables.tau):
+    for w, t in zip(tables.tau, ex1.tables.tau):
         assert w == t
+    # Evidence: -P is the matrix of multiplication by F on the Jacobian
+    # quotient
+    for b in (ex1, a2, e6):
+        assert b.tables.P.scale(-1) == jacobian_rows(b)
 
 
 def test_recast_discriminant_is_monic_in_u(ex1, a2):
@@ -114,9 +132,13 @@ def test_two_map_family():
     assert at2.evaluate({"u": Fraction(0)}).is_zero
     assert at2.evaluate({"u": Fraction(-1)}).is_zero
     assert not at2.evaluate({"u": Fraction(5)}).is_zero
-    for w in tables.W:
+    for w in tables.tau:
         assert w.is_symmetric()
     assert tables.T.is_symmetric()
+    # P, read off tau, against the normal forms of F_1 - u times the basis
+    assert tables.P == PolyMatrix(VT2, [
+        coordinates(spec.maps[0] * phi, tables.gb, tables.phi)
+        for phi in tables.phi.polynomials()])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +173,7 @@ def test_connection_coefficients_cusp(a2):
     spec = ci.hyper_to_ci(a2.spec)
     mi, tables = pipeline(spec, hint=a2.spec.basis.monomials)
     ws = ci.ci_weights(spec)
-    gm = ci.gm_coefficients(spec, mi, tables, ws)
+    gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3
     assert gm.B[0] == PolyMatrix(a2.vt, [[a2.p("4"), a2.p("0")],
                                          [a2.p("0"), a2.p("5")]])
@@ -166,7 +188,7 @@ def test_connection_coefficients_divergence_identity(ex1):
     spec = ci.hyper_to_ci(ex1.spec)
     mi, tables = pipeline(spec, hint=ex1.spec.basis.monomials)
     ws = ci.ci_weights(spec)
-    gm = ci.gm_coefficients(spec, mi, tables, ws)
+    gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3
     # phi_0 * phi_0 = 1: divergence of the Euler field is nx = 2
     assert gm.R[0][0, 0] == ex1.p("2")

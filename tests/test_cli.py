@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from logdisc import groebner
 from logdisc.cli import main
 
 FIX = "fixtures"
@@ -171,3 +173,69 @@ def test_invalid_kind(tmp_path, capsys):
     code, _, err = run(capsys, "discriminant", str(bad))
     assert code == 1
     assert "kind" in err
+
+
+HYPERSURFACE_ONLY = ("tables", "logfields", "discriminant", "bifurcation",
+                     "maxwell", "traceforms", "count", "euler")
+
+
+@pytest.mark.parametrize("command", HYPERSURFACE_ONLY)
+def test_hypersurface_commands_refuse_ci_input(capsys, command):
+    code, _, err = run(capsys, command, f"{FIX}/ci_k2.ls",
+                       "--params", "u=1,t1=2")
+    assert code == 1
+    assert "needs a hypersurface input" in err
+
+
+def test_ci_tables_basis_hint_order(capsys):
+    code, out, _ = run(capsys, "ci-tables", f"{FIX}/ci_k2.ls", "--json",
+                       "--basis", "x2,1,x1,x2^2")
+    assert code == 0
+    assert json.loads(out)["basis"] == ["x2", "1", "x1", "x2^2"]
+    code, _, err = run(capsys, "ci-tables", f"{FIX}/ci_k2.ls",
+                       "--basis", "1,x1,x2,x1^2")
+    assert code == 1
+    assert "permutation" in err
+
+
+def test_bifurcation_needs_no_weights(tmp_path, capsys):
+    path = tmp_path / "nonqh.ls"
+    path.write_text('x_vars = [x]\nparams = [u, a, b]\n'
+                    'f0 = "x^4 + x^3"\nbasis = ["1", "x", "x^2"]\n')
+    code, out, _ = run(capsys, "bifurcation", str(path), "--json")
+    assert code == 0
+    code, ci_out, _ = run(capsys, "ci-discriminant", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["detT"] == json.loads(ci_out)["detT"]
+    for command in ("logfields", "traceforms"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1
+        assert "quasihomogeneous" in err
+
+
+def test_one_buchberger_run_per_command(monkeypatch, capsys):
+    calls = []
+    real = groebner.buchberger
+
+    def spy(ideal):
+        calls.append(ideal)
+        return real(ideal)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("logdisc")
+                and getattr(mod, "buchberger", None) is real):
+            monkeypatch.setattr(mod, "buchberger", spy)
+
+    points = {"a2": "u=0,b=-3",
+              "e6": "u=-10,a=3,b=-2/5,c=1/10,d=1/10,g=-1/10"}
+    argvs = [("ci-tables", f"{FIX}/ci_k2.ls")]
+    for name, point in points.items():
+        path = f"{FIX}/{name}.ls"
+        argvs += [("ci-tables", path), ("gm", path),
+                  ("ci-discriminant", path),
+                  ("ci-count", path, "--params", point)]
+    for argv in argvs:
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert len(calls) == 1, argv

@@ -53,7 +53,7 @@ def check_hypersurface(b, path, point):
     bh, bhf = map(SymMatrixQ,
                   hyper.hessian_forms_at(b.spec, tau, T, sigma, point))
     st0 = SymMatrixQ.from_poly_matrix(
-        b.logm.sigma * hyper.tables_T(b.logm, b.tables), point)
+        b.logm.sigma * b.tables.T, point)
     bh0 = SymMatrixQ.from_poly_matrix(b.tf.BH, point)
     bhf0 = SymMatrixQ.from_poly_matrix(b.tf.BHF, point)
     assert (st_, bh, bhf) == (st0, bh0, bhf0)
@@ -125,7 +125,7 @@ PARABOLA = ci.CISpec(
 
 
 def check_ci(tables, path, point):
-    _, T, P = hyper.forms_at(tables.W, tables.P, point)
+    _, T, P = hyper.forms_at(tables.tau, tables.P, point)
     pt = SymMatrixQ(mat_mul(P, T))
     pt0 = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
     assert pt == pt0
