@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from .groebner import ParamIdeal, buchberger, coordinates, standard_basis
 from .matrix import PolyMatrix, det_bareiss
@@ -21,9 +21,38 @@ class NotQuasihomogeneousError(ValueError):
     """No positive integer weight system makes every monomial of f0 equal-weight."""
 
 
-def _solve_weights(monos, nx):
-    diffs = [tuple(a - b for a, b in zip(m, monos[0])) for m in monos[1:]]
-    diffs = [d for d in diffs if any(d)]
+@dataclass
+class WeightSystem:
+    """Positive integer weights of the x-variables, the induced weight of
+    each map (of f0 for a hypersurface), and for a hypersurface the derived
+    parameter weights w(s_i) = wF - w(e_i)."""
+
+    x_weights: tuple
+    f_weights: tuple
+    s_weights: tuple = ()
+
+    @property
+    def wF(self):
+        return self.f_weights[0]
+
+    def monomial_weight(self, xm):
+        return sum(w * e for w, e in zip(self.x_weights, xm))
+
+
+def weight_system(groups, nx):
+    """Smallest positive integer x-weights giving the x-monomials of each
+    group one weight, with the weight of each group; None if there are
+    none."""
+    diffs = [tuple(a - b for a, b in zip(m, g[0]))
+             for g in groups for m in g[1:]]
+    w = _positive_kernel_vector([d for d in diffs if any(d)], nx)
+    if w is None:
+        return None
+    return WeightSystem(tuple(w), tuple(sum(a * e for a, e in zip(w, g[0]))
+                                        for g in groups))
+
+
+def _positive_kernel_vector(diffs, nx):
     if not diffs:
         return [1] * nx
     basis = _rational_nullspace(diffs, nx)
@@ -31,18 +60,12 @@ def _solve_weights(monos, nx):
         return None
     if len(basis) == 1:
         v = basis[0]
-        if all(c > 0 for c in v) or all(c < 0 for c in v):
-            if v[0] < 0:
-                v = [-c for c in v]
-            den = 1
-            for c in v:
-                den = den * c.denominator // gcd(den, c.denominator)
-            ints = [int(c * den) for c in v]
-            g = 0
-            for c in ints:
-                g = gcd(g, c)
-            return [c // g for c in ints]
-        return None
+        if not (all(c > 0 for c in v) or all(c < 0 for c in v)):
+            return None
+        den = lcm(*(c.denominator for c in v))
+        ints = [abs(int(c * den)) for c in v]
+        g = gcd(*ints)
+        return [c // g for c in ints]
     # underdetermined: search small positive integer solutions
     for bound in range(1, 13):
         for w in product(range(1, bound + 1), repeat=nx):
@@ -176,11 +199,8 @@ def structure_constants(gb, qb, uname):
             for l in range(mu):
                 tau[l][i][j] = coords[l]
                 tau[l][j][i] = coords[l]
-    for t in tau:
-        for row in t:
-            for e in row:
-                if e.degree_in(uname) > 0:
-                    raise ValueError("structure constants must not involve u")
+    if any(e.degree_in(uname) > 0 for t in tau for row in t for e in row):
+        raise ValueError("structure constants must not involve u")
     return [PolyMatrix(vt, t) for t in tau], traces(tau)
 
 
@@ -215,7 +235,7 @@ def multiplication_rows(tau, coeffs):
 @dataclass
 class CITables:
     """The quotient algebra: standard basis phi, reduced Groebner basis gb,
-    the matrix P(s), structure constants tau and traces zeta.
+    structure constants tau, traces zeta and the first map F_1 - u.
 
     tau[l] is the mu x mu matrix whose (i, j) entry is the coefficient of
     basis element l in the product of basis elements i and j; zeta[r] is
@@ -224,9 +244,9 @@ class CITables:
 
     phi: object
     gb: object
-    P: PolyMatrix
     tau: list
     zeta: list
+    first_map: Polynomial
 
     @property
     def mu(self):
@@ -236,43 +256,38 @@ class CITables:
     def T(self):
         """The trace form T(t), built on first use: the point commands form
         T over Q at their point instead."""
-        return PolyMatrix(self.P.vt,
+        return PolyMatrix(self.phi.vt,
                           tau_form([t.entries for t in self.tau], self.zeta))
+
+    @cached_property
+    def P(self):
+        """The matrix P(s) of multiplication by the first map, built on
+        first use: one normal form, whose products with the basis follow
+        from tau."""
+        vt = self.phi.vt
+        u = vt.s_vars[0]
+        P = PolyMatrix(vt, multiplication_rows(
+            [t.entries for t in self.tau],
+            coordinates(self.first_map, self.gb, self.phi)))
+        shifted = P + PolyMatrix.identity(vt, self.mu).scale(
+            Polynomial.var(vt, u))
+        if any(e.degree_in(u) > 0 for row in shifted.entries for e in row):
+            raise AssertionError("P + u*Id must be free of u")
+        return P
 
 
 def ci_tables(spec, mi, basis_hint=None):
-    """Multiplication tables on the quotient by the minor ideal and the
-    matrix P whose determinant cuts out the discriminant."""
-    vt = spec.vt
+    """Multiplication tables on the quotient by the minor ideal; the matrix
+    P whose determinant cuts out the discriminant is built on first use."""
     gb = buchberger(mi.combined)
     qb = standard_basis(gb, ordering_hint=basis_hint)
     tau, zeta = structure_constants(gb, qb, spec.u)
-    # one normal form: the products with the basis follow from tau
-    P = PolyMatrix(vt, multiplication_rows([t.entries for t in tau],
-                                           coordinates(spec.maps[0], gb, qb)))
-    u = Polynomial.var(vt, spec.u)
-    shifted = P + PolyMatrix.identity(vt, qb.mu).scale(u)
-    for row in shifted.entries:
-        for e in row:
-            if e.degree_in(spec.u) > 0:
-                raise AssertionError("P + u*Id must be free of u")
-    return CITables(qb, gb, P, tau, zeta)
+    return CITables(qb, gb, tau, zeta, spec.maps[0])
 
 
 def discriminant_and_bifurcation(tables):
     """Exact determinants of P (discriminant) and T (bifurcation)."""
     return det_bareiss(tables.P), det_bareiss(tables.T)
-
-
-@dataclass
-class CIWeightSystem:
-    """x-weights shared by all maps plus the induced per-map weights."""
-
-    x_weights: tuple
-    f_weights: tuple
-
-    def monomial_weight(self, xm):
-        return sum(w * e for w, e in zip(self.x_weights, xm))
 
 
 def ci_weights(spec):
@@ -288,16 +303,10 @@ def ci_weights(spec):
             raise NotQuasihomogeneousError(
                 "a map has no parameter-free x-monomials to fix its weight")
         groups.append(monos)
-    # one combined difference system: equal weight within each group
-    monos = []
-    for g in groups:
-        monos.extend([tuple(a - b for a, b in zip(m, g[0])) for m in g[1:]])
-    w = _solve_weights([(0,) * nx] + monos, nx)
-    if w is None:
+    ws = weight_system(groups, nx)
+    if ws is None:
         raise NotQuasihomogeneousError("maps admit no common positive "
                                        "integer weight system")
-    ws = CIWeightSystem(tuple(w), ())
-    ws.f_weights = tuple(ws.monomial_weight(g[0]) for g in groups)
     return ws
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +18,7 @@ from .inertia import (DegeneratePointError, SymMatrixQ, critical_count,
 from .matrix import det_bareiss, mat_mul
 from .oracle import find_critical_points, grid_euler
 from .parse import PolyParseError, parse_poly
-from .poly import Polynomial, VarTable
+from .poly import VarTable
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -32,14 +33,7 @@ def _parse_list(text):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise InputError("expected a bracketed list, got %r" % text)
-    items = []
-    for part in text[1:-1].split(","):
-        part = part.strip()
-        if part.startswith('"') and part.endswith('"') and len(part) >= 2:
-            part = part[1:-1]
-        if part:
-            items.append(part)
-    return items
+    return [part for part in map(_unquote, text[1:-1].split(",")) if part]
 
 
 def _unquote(text):
@@ -161,21 +155,13 @@ def _mat(m):
     return [[str(e) for e in row] for row in m.entries]
 
 
-def _basis_strings(qb):
-    return [str(p) for p in qb.polynomials()]
+def _matrix_text(name, rows):
+    return "\n".join(["%s:" % name]
+                     + ["  [" + ", ".join(row) + "]" for row in rows])
 
 
-def _emit(out, args, text_fn):
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        text_fn(out)
-
-
-def _print_matrix(name, rows):
-    print("%s:" % name)
-    for row in rows:
-        print("  [" + ", ".join(row) + "]")
+def _triple(tri):
+    return {"n_plus": tri.n_plus, "n_minus": tri.n_minus, "n_zero": tri.n_zero}
 
 
 def _at_point(loaded, args, use_sigma):
@@ -186,166 +172,98 @@ def _at_point(loaded, args, use_sigma):
     return (point,) + hy.forms_at(loaded.algebra.tau, form, point)
 
 
-def cmd_tables(loaded, args):
-    tables = loaded.spec.algebra
-    out = {"mu": tables.mu,
-           "basis": _basis_strings(tables.phi),
-           "tau": [_mat(t) for t in tables.tau],
-           "zeta": [str(z) for z in tables.zeta]}
+def _euler_at(loaded, tau, T, sigma, point):
+    """B^H, B^HF and the Euler characteristics at one point."""
+    bh, bhf = map(SymMatrixQ,
+                  hy.hessian_forms_at(loaded.spec, tau, T, sigma, point))
+    return bh, bhf, euler_characteristics(bh, bhf, loaded.vt.nx)
 
-    def text(o):
-        print("mu = %d" % o["mu"])
-        print("basis = " + ", ".join(o["basis"]))
-        for r, t in enumerate(o["tau"], start=1):
-            _print_matrix("tau^%d" % r, t)
+
+def tables(loaded, args):
+    """`tables` (hypersurfaces): tau and zeta; `ci-tables` adds T and P."""
+    if args.command == "tables":
+        loaded.spec  # refuses a complete-intersection input
+    algebra = loaded.algebra
+    out = {"mu": algebra.mu,
+           "basis": [str(p) for p in algebra.phi.polynomials()],
+           "tau": [_mat(t) for t in algebra.tau],
+           "zeta": [str(z) for z in algebra.zeta]}
+    if args.command == "ci-tables":
+        out["T"] = _mat(algebra.T)
+        out["P"] = _mat(algebra.P)
+    return out
+
+
+def print_tables(o):
+    print("mu = %d" % o["mu"], "basis = " + ", ".join(o["basis"]), sep="\n")
+    if "P" in o:
+        print(_matrix_text("P", o["P"]), _matrix_text("T", o["T"]), sep="\n")
+    else:
+        print(*(_matrix_text("tau^%d" % r, t)
+                for r, t in enumerate(o["tau"], start=1)), sep="\n")
         print("zeta = " + ", ".join(o["zeta"]))
-    _emit(out, args, text)
-    return EXIT_OK
 
 
-def cmd_logfields(loaded, args):
+def logfields(loaded, args):
     logm = loaded.logm
-    out = {"mu": loaded.spec.mu,
-           "basis": _basis_strings(loaded.spec.basis),
-           "Sigma": _mat(logm.sigma),
-           "detSigma": str(logm.discriminant)}
-
-    def text(o):
-        _print_matrix("Sigma", o["Sigma"])
-        print("det Sigma = " + o["detSigma"])
-    _emit(out, args, text)
-    return EXIT_OK
+    return {"mu": loaded.spec.mu,
+            "basis": [str(p) for p in loaded.spec.basis.polynomials()],
+            "Sigma": _mat(logm.sigma),
+            "detSigma": str(logm.discriminant)}
 
 
-def cmd_discriminant(loaded, args):
-    out = {"mu": loaded.spec.mu, "detSigma": str(loaded.logm.discriminant)}
-    _emit(out, args, lambda o: print(o["detSigma"]))
-    return EXIT_OK
-
-
-def cmd_bifurcation(loaded, args):
+def maxwell(loaded, args):
     spec = loaded.spec
-    out = {"mu": spec.mu, "detT": str(det_bareiss(spec.algebra.T))}
-    _emit(out, args, lambda o: print(o["detT"]))
-    return EXIT_OK
+    bif, mx = hy.maxwell_bifurcation(loaded.logm, spec.algebra, spec.u)
+    return {"mu": spec.mu, "detT": str(bif), "maxwell": str(mx)}
 
 
-def cmd_maxwell(loaded, args):
-    spec = loaded.spec
-    bif, maxwell = hy.maxwell_bifurcation(loaded.logm, spec.algebra, spec.u)
-    out = {"mu": spec.mu, "detT": str(bif), "maxwell": str(maxwell)}
-
-    def text(o):
-        print("det T = " + o["detT"])
-        print("maxwell candidate = " + o["maxwell"])
-    _emit(out, args, text)
-    return EXIT_OK
-
-
-def cmd_traceforms(loaded, args):
+def traceforms(loaded, args):
     spec = loaded.spec
     tf = hy.trace_forms(spec, spec.algebra, loaded.logm)
-    out = {"mu": spec.mu,
-           "T": _mat(tf.T),
-           "BH": _mat(tf.BH),
-           "BHF": _mat(tf.BHF)}
-
-    def text(o):
-        _print_matrix("T", o["T"])
-        _print_matrix("BH", o["BH"])
-        _print_matrix("BHF", o["BHF"])
-    _emit(out, args, text)
-    return EXIT_OK
+    return {"mu": spec.mu, "T": _mat(tf.T), "BH": _mat(tf.BH),
+            "BHF": _mat(tf.BHF)}
 
 
-def cmd_euler(loaded, args):
-    spec = loaded.spec
+def euler(loaded, args):
     point, tau, T, sigma = _at_point(loaded, args, True)
-    bh, bhf = map(SymMatrixQ,
-                  hy.hessian_forms_at(spec, tau, T, sigma, point))
-    rep = euler_characteristics(bh, bhf, spec.vt.nx)
-    out = {"mu": spec.mu,
-           "inertia": {"BH": _triple(inertia(bh)), "BHF": _triple(inertia(bhf))},
-           "chi": {"ge": rep.chi_ge, "le": rep.chi_le, "eq": rep.chi_eq,
-                   "sign_BH": rep.sign_BH, "sign_BHF": rep.sign_BHF},
-           "note": "ball assumed to contain all real critical points"}
-
-    def text(o):
-        c = o["chi"]
-        print("chi(F>=0) = %d, chi(F<=0) = %d, chi(F=0) = %d"
-              % (c["ge"], c["le"], c["eq"]))
-        print("sign BH = %d, sign BHF = %d" % (c["sign_BH"], c["sign_BHF"]))
-    _emit(out, args, text)
-    return EXIT_OK
+    bh, bhf, rep = _euler_at(loaded, tau, T, sigma, point)
+    return {"mu": loaded.spec.mu,
+            "inertia": {"BH": _triple(inertia(bh)),
+                        "BHF": _triple(inertia(bhf))},
+            "chi": {"ge": rep.chi_ge, "le": rep.chi_le, "eq": rep.chi_eq,
+                    "sign_BH": rep.sign_BH, "sign_BHF": rep.sign_BHF},
+            "note": "ball assumed to contain all real critical points"}
 
 
-def _triple(tri):
-    return {"n_plus": tri.n_plus, "n_minus": tri.n_minus, "n_zero": tri.n_zero}
-
-
-def cmd_count(loaded, args):
+def count(loaded, args):
     """`count` (hypersurfaces) takes the signature of Sigma T, `ci-count`
     that of P T."""
     _, _, T, form = _at_point(loaded, args, args.command == "count")
     st = SymMatrixQ(mat_mul(form, T))
     signed = critical_count(st)
-    out = {"mu": loaded.algebra.mu, "inertia": _triple(inertia(st)),
-           "count": signed}
-    _emit(out, args,
-          lambda o: print("signed critical point count = %d" % o["count"]))
-    return EXIT_OK
+    return {"mu": loaded.algebra.mu, "inertia": _triple(inertia(st)),
+            "count": signed}
 
 
-def cmd_ci_tables(loaded, args):
-    tables = loaded.algebra
-    out = {"mu": tables.mu,
-           "basis": _basis_strings(tables.phi),
-           "tau": [_mat(t) for t in tables.tau],
-           "zeta": [str(z) for z in tables.zeta],
-           "T": _mat(tables.T),
-           "P": _mat(tables.P)}
-
-    def text(o):
-        print("mu = %d" % o["mu"])
-        print("basis = " + ", ".join(o["basis"]))
-        _print_matrix("P", o["P"])
-        _print_matrix("T", o["T"])
-    _emit(out, args, text)
-    return EXIT_OK
+def ci_discriminant(loaded, args):
+    algebra = loaded.algebra
+    detP, detT = ci_mod.discriminant_and_bifurcation(algebra)
+    return {"mu": algebra.mu, "detP": str(detP), "detT": str(detT)}
 
 
-def cmd_ci_discriminant(loaded, args):
-    tables = loaded.algebra
-    detP, detT = ci_mod.discriminant_and_bifurcation(tables)
-    out = {"mu": tables.mu, "detP": str(detP), "detT": str(detT)}
-
-    def text(o):
-        print("det P = " + o["detP"])
-        print("det T = " + o["detT"])
-    _emit(out, args, text)
-    return EXIT_OK
-
-
-def cmd_gm(loaded, args):
-    tables = loaded.algebra
-    cspec = loaded.cspec
-    ws = ci_mod.ci_weights(cspec)
-    gm = ci_mod.gm_coefficients(cspec, tables, ws)
-    out = {"mu": tables.mu,
-           "gm": {"trM0": gm.trM0,
-                  "x_weights": list(ws.x_weights),
-                  "f_weights": list(ws.f_weights),
-                  "B": [_mat(b) for b in gm.B]}}
-
-    def text(o):
-        print("tr M0 = %d" % o["gm"]["trM0"])
-        for j, b in enumerate(o["gm"]["B"]):
-            _print_matrix("B_%d" % j, b)
-    _emit(out, args, text)
-    return EXIT_OK
+def gm(loaded, args):
+    algebra = loaded.algebra
+    ws = ci_mod.ci_weights(loaded.cspec)
+    coeffs = ci_mod.gm_coefficients(loaded.cspec, algebra, ws)
+    return {"mu": algebra.mu,
+            "gm": {"trM0": coeffs.trM0,
+                   "x_weights": list(ws.x_weights),
+                   "f_weights": list(ws.f_weights),
+                   "B": [_mat(b) for b in coeffs.B]}}
 
 
-def cmd_oracle_check(loaded, args):
+def oracle_check(loaded, args):
     """The finder runs on F for a hypersurface (with Sigma, and the grid in
     at most two variables), on the maps for a complete intersection (P)."""
     hyper = loaded.kind == "hypersurface"
@@ -354,51 +272,66 @@ def cmd_oracle_check(loaded, args):
     maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
     rep = find_critical_points(maps[0], point, loaded.algebra.mu,
                                ball_radius=args.ball, constraints=maps[1:])
-    out = {"mu": loaded.algebra.mu,
-           "oracle": {"count": len(rep.points),
-                      "signed": rep.signed_count,
-                      "exact_signature": exact,
-                      "agree": rep.signed_count == exact}}
+    oc = {"count": len(rep.points), "signed": rep.signed_count,
+          "exact_signature": exact, "agree": rep.signed_count == exact}
     if hyper and loaded.vt.nx <= 2:
-        bh, bhf = map(SymMatrixQ,
-                      hy.hessian_forms_at(loaded.spec, tau, T, form, point))
-        chi = euler_characteristics(bh, bhf, loaded.vt.nx)
+        chi = _euler_at(loaded, tau, T, form, point)[2]
         g = grid_euler(maps[0], point, ball_radius=args.ball,
                        resolution=args.resolution)
-        out["oracle"]["grid"] = {
-            "resolution": g.resolution, "stable": g.stable,
-            "chi_ge": g.chi_ge, "chi_le": g.chi_le, "chi_eq": g.chi_eq}
-        out["oracle"]["chi_agree"] = (
-            g.stable and (g.chi_ge, g.chi_le, g.chi_eq)
-            == (chi.chi_ge, chi.chi_le, chi.chi_eq))
-
-    def text(o):
-        oc = o["oracle"]
-        print("numeric signed count = %d, exact signature = %d, agree = %s"
-              % (oc["signed"], oc["exact_signature"], oc["agree"]))
-        if "grid" in oc:
-            g = oc["grid"]
-            print("grid chi = (%d, %d, %d) stable=%s, agree = %s"
-                  % (g["chi_ge"], g["chi_le"], g["chi_eq"], g["stable"],
-                     oc["chi_agree"]))
-    _emit(out, args, text)
-    return EXIT_OK
+        oc["grid"] = {"resolution": g.resolution, "stable": g.stable,
+                      "chi_ge": g.chi_ge, "chi_le": g.chi_le,
+                      "chi_eq": g.chi_eq}
+        oc["chi_agree"] = (g.stable and (g.chi_ge, g.chi_le, g.chi_eq)
+                           == (chi.chi_ge, chi.chi_le, chi.chi_eq))
+    return {"mu": loaded.algebra.mu, "oracle": oc}
 
 
+def print_oracle_check(o):
+    oc = o["oracle"]
+    print("numeric signed count = %(signed)d, exact signature = "
+          "%(exact_signature)d, agree = %(agree)s" % oc)
+    if "grid" in oc:
+        g = oc["grid"]
+        print("grid chi = (%d, %d, %d) stable=%s, agree = %s"
+              % (g["chi_ge"], g["chi_le"], g["chi_eq"], g["stable"],
+                 oc["chi_agree"]))
+
+
+def print_count(o):
+    print("signed critical point count = %(count)d" % o)
+
+
+# command -> (output builder (loaded, args) -> dict, text printer of it)
 COMMANDS = {
-    "tables": cmd_tables,
-    "logfields": cmd_logfields,
-    "discriminant": cmd_discriminant,
-    "bifurcation": cmd_bifurcation,
-    "maxwell": cmd_maxwell,
-    "traceforms": cmd_traceforms,
-    "euler": cmd_euler,
-    "count": cmd_count,
-    "ci-tables": cmd_ci_tables,
-    "ci-discriminant": cmd_ci_discriminant,
-    "ci-count": cmd_count,
-    "gm": cmd_gm,
-    "oracle-check": cmd_oracle_check,
+    "tables": (tables, print_tables),
+    "logfields": (logfields, lambda o: print(
+        _matrix_text("Sigma", o["Sigma"]), "det Sigma = " + o["detSigma"],
+        sep="\n")),
+    "discriminant": (
+        lambda loaded, args: {"mu": loaded.spec.mu,
+                              "detSigma": str(loaded.logm.discriminant)},
+        lambda o: print(o["detSigma"])),
+    "bifurcation": (
+        lambda loaded, args: {"mu": loaded.spec.mu,
+                              "detT": str(det_bareiss(loaded.spec.algebra.T))},
+        lambda o: print(o["detT"])),
+    "maxwell": (maxwell, lambda o: print(
+        "det T = %(detT)s\nmaxwell candidate = %(maxwell)s" % o)),
+    "traceforms": (traceforms, lambda o: print(
+        *(_matrix_text(k, o[k]) for k in ("T", "BH", "BHF")), sep="\n")),
+    "euler": (euler, lambda o: print(
+        "chi(F>=0) = %(ge)d, chi(F<=0) = %(le)d, chi(F=0) = %(eq)d\n"
+        "sign BH = %(sign_BH)d, sign BHF = %(sign_BHF)d" % o["chi"])),
+    "count": (count, print_count),
+    "ci-tables": (tables, print_tables),
+    "ci-discriminant": (ci_discriminant, lambda o: print(
+        "det P = %(detP)s\ndet T = %(detT)s" % o)),
+    "ci-count": (count, print_count),
+    "gm": (gm, lambda o: print(
+        "tr M0 = %d" % o["gm"]["trM0"],
+        *(_matrix_text("B_%d" % j, b) for j, b in enumerate(o["gm"]["B"])),
+        sep="\n")),
+    "oracle-check": (oracle_check, print_oracle_check),
 }
 
 
@@ -423,10 +356,22 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    build, show = COMMANDS[args.command]
     try:
-        fields = read_input_file(args.input)
-        loaded = LoadedSpec(fields, basis_override=args.basis)
-        return COMMANDS[args.command](loaded, args)
+        if not (math.isfinite(args.ball) and args.ball > 0):
+            raise InputError("--ball must be finite and positive, got %s"
+                             % args.ball)
+        if args.resolution < 1:
+            raise InputError("--resolution must be at least 1, got %d"
+                             % args.resolution)
+        loaded = LoadedSpec(read_input_file(args.input),
+                            basis_override=args.basis)
+        out = build(loaded, args)
+        if args.json:
+            print(json.dumps(out, indent=2))
+        else:
+            show(out)
+        return EXIT_OK
     except DegeneratePointError as exc:
         print("degenerate parameter point: %s" % exc, file=sys.stderr)
         print("try perturbing the point off the discriminant/bifurcation "

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .poly import (DEGREVLEX, Polynomial, degrevlex_key, exact_divide,
-                   make_primitive, monomial_div, monomial_lcm, monomial_mul,
-                   poly_gcd_list)
+from .poly import (Polynomial, degrevlex_key, exact_divide, monomial_div,
+                   monomial_lcm, monomial_mul, poly_gcd_list)
 
 
 class NonConstantScaleError(ArithmeticError):
@@ -37,7 +36,6 @@ class ParamIdeal:
     """Generators, polynomial in x with parameter-polynomial coefficients."""
 
     generators: tuple
-    order: object = DEGREVLEX
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -68,9 +66,9 @@ def _split_x(p):
     return {xm: Polynomial._raw(p.vt, cf) for xm, cf in out.items()}
 
 
-def _lead_x(p, order):
+def _lead_x(p):
     nx = p.vt.nx
-    return max((m[:nx] for m in p.terms), key=order.key)
+    return max((m[:nx] for m in p.terms), key=degrevlex_key)
 
 
 def _x_coeff(p, xm):
@@ -98,7 +96,7 @@ def _strip_content(p):
     coeffs = list(_split_x(p).values())
     g = poly_gcd_list(coeffs)
     q = exact_divide(p, g)
-    lead = _x_coeff(q, _lead_x(q, DEGREVLEX))
+    lead = _x_coeff(q, _lead_x(q))
     if lead.lead_coeff() < 0:
         q = -q
     return q
@@ -126,14 +124,13 @@ class ReductionCertificate:
 @dataclass
 class GroebnerBasis:
     elements: list
-    order: object
     source: ParamIdeal
     lead_monomials: list = field(default_factory=list)
     lead_coeffs: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.lead_monomials:
-            self.lead_monomials = [_lead_x(g, self.order) for g in self.elements]
+            self.lead_monomials = [_lead_x(g) for g in self.elements]
             self.lead_coeffs = [_x_coeff(g, m)
                                 for g, m in zip(self.elements, self.lead_monomials)]
 
@@ -162,7 +159,6 @@ class QuotientBasis:
 def reduce_poly(p, gb):
     """Extended pseudo-reduction of p by a (Groebner) basis."""
     vt = p.vt
-    order = gb.order
     one = Polynomial.const(vt, 1)
     scale = one
     cof = [Polynomial.zero(vt) for _ in gb.elements]
@@ -171,7 +167,7 @@ def reduce_poly(p, gb):
         # highest reducible x-monomial still present in r: scan the split
         # from the top, dropping irreducible monomials as they are met
         split = _split_x(r)
-        pool = {xm: order.key(xm) for xm in split}
+        pool = {xm: degrevlex_key(xm) for xm in split}
         step = None
         while pool and step is None:
             xm = max(pool, key=pool.__getitem__)
@@ -213,17 +209,16 @@ def _s_poly(f, lm_f, lc_f, g, lm_g, lc_g):
 
 def buchberger(ideal):
     """Reduced Groebner basis over the fraction field of the parameter ring."""
-    order = ideal.order
     basis = [_strip_content(g) for g in ideal.generators]
-    lms = [_lead_x(g, order) for g in basis]
+    lms = [_lead_x(g) for g in basis]
     lcs = [_x_coeff(g, m) for g, m in zip(basis, lms)]
 
     pairs = set(combinations(range(len(basis)), 2))
     handled = set()
     while pairs:
         # normal strategy: smallest lcm degree first
-        i, j = min(pairs, key=lambda ij: (sum(monomial_lcm(lms[ij[0]], lms[ij[1]])),
-                                          order.key(monomial_lcm(lms[ij[0]], lms[ij[1]]))))
+        i, j = min(pairs, key=lambda ij: degrevlex_key(
+            monomial_lcm(lms[ij[0]], lms[ij[1]])))
         pairs.discard((i, j))
         handled.add((i, j))
         lcm = monomial_lcm(lms[i], lms[j])
@@ -232,18 +227,18 @@ def buchberger(ideal):
         if _chain_criterion(i, j, lcm, lms, pairs, handled):
             continue
         s = _s_poly(basis[i], lms[i], lcs[i], basis[j], lms[j], lcs[j])
-        cert = reduce_poly(s, GroebnerBasis(basis, order, ideal, lms[:], lcs[:]))
+        cert = reduce_poly(s, GroebnerBasis(basis, ideal, lms[:], lcs[:]))
         if cert.remainder.is_zero:
             continue
         new = _strip_content(cert.remainder)
         basis.append(new)
-        lms.append(_lead_x(new, order))
+        lms.append(_lead_x(new))
         lcs.append(_x_coeff(new, lms[-1]))
         k = len(basis) - 1
         pairs.update((idx, k) for idx in range(k))
 
-    basis, lms, lcs = _interreduce(basis, lms, lcs, order, ideal)
-    return GroebnerBasis(basis, order, ideal, lms, lcs)
+    basis, lms, lcs = _interreduce(basis, lms, lcs, ideal)
+    return GroebnerBasis(basis, ideal, lms, lcs)
 
 
 def _chain_criterion(i, j, lcm, lms, pairs, handled):
@@ -259,9 +254,9 @@ def _chain_criterion(i, j, lcm, lms, pairs, handled):
     return False
 
 
-def _interreduce(basis, lms, lcs, order, ideal):
+def _interreduce(basis, lms, lcs, ideal):
     # minimal basis: drop elements whose lead is divisible by another lead
-    by_key = sorted(range(len(basis)), key=lambda i: order.key(lms[i]))
+    by_key = sorted(range(len(basis)), key=lambda i: degrevlex_key(lms[i]))
     keep = []
     for i in by_key:
         if not any(monomial_div(lms[i], lms[j]) is not None for j in keep):
@@ -273,14 +268,14 @@ def _interreduce(basis, lms, lcs, order, ideal):
     reduced = []
     for i, g in enumerate(basis):
         others_idx = [j for j in range(len(basis)) if j != i]
-        others = GroebnerBasis([basis[j] for j in others_idx], order, ideal,
+        others = GroebnerBasis([basis[j] for j in others_idx], ideal,
                                [lms[j] for j in others_idx],
                                [lcs[j] for j in others_idx])
         cert = reduce_poly(g, others)
         reduced.append(_strip_content(cert.remainder))
-    lms = [_lead_x(g, order) for g in reduced]
+    lms = [_lead_x(g) for g in reduced]
     lcs = [_x_coeff(g, m) for g, m in zip(reduced, lms)]
-    idx = sorted(range(len(reduced)), key=lambda i: order.key(lms[i]))
+    idx = sorted(range(len(reduced)), key=lambda i: degrevlex_key(lms[i]))
     return ([reduced[i] for i in idx], [lms[i] for i in idx],
             [lcs[i] for i in idx])
 
@@ -312,10 +307,10 @@ def standard_basis(gb, ordering_hint=None):
             if m2 not in seen and m2[v] <= bound[v]:
                 seen.add(m2)
                 stack.append(m2)
-    std.sort(key=gb.order.key)
+    std.sort(key=degrevlex_key)
     if ordering_hint is not None:
         hint = [tuple(m) for m in ordering_hint]
-        if sorted(hint, key=gb.order.key) != std:
+        if sorted(hint, key=degrevlex_key) != std:
             raise ValueError("ordering hint is not a permutation of the "
                              "standard monomials")
         std = hint

@@ -7,37 +7,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ci import (CISpec, NotQuasihomogeneousError, _solve_weights,
-                 ci_tables, minor_ideal, multiplication_rows, tau_form, traces)
+from .ci import (CISpec, NotQuasihomogeneousError, WeightSystem, ci_tables,
+                 minor_ideal, multiplication_rows, tau_form, traces,
+                 weight_system)
 from .groebner import coordinates
 from .matrix import PolyMatrix, det_bareiss, discriminant, mat_mul, mat_vec
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
 
 
-@dataclass
-class WeightSystem:
-    """Positive integer weights for the x-variables, the induced weight of
-    f0, and the derived parameter weights w(s_i) = wF - w(e_i)."""
-
-    x_weights: tuple
-    wF: int
-    s_weights: tuple = ()
-
-    def monomial_weight(self, xm):
-        return sum(w * e for w, e in zip(self.x_weights, xm))
-
-
 def derive_weights(f0, basis=None):
-    """Smallest positive integer weights under which f0 is quasihomogeneous."""
+    """Smallest positive integer weights under which f0, its constant term
+    included, is quasihomogeneous."""
     if f0.is_zero:
         raise ValueError("zero polynomial has no weight system")
     nx = f0.vt.nx
-    monos = sorted({m[:nx] for m in f0.terms})
-    w = _solve_weights(monos, nx)
-    if w is None:
+    ws = weight_system([sorted({m[:nx] for m in f0.terms})], nx)
+    if ws is None:
         raise NotQuasihomogeneousError(
             "no positive integer weights make %s quasihomogeneous" % f0)
-    ws = WeightSystem(tuple(w), sum(wi * e for wi, e in zip(w, monos[0])))
     if basis is not None:
         ws.s_weights = tuple(ws.wF - ws.monomial_weight(m)
                              for m in basis.monomials)
@@ -102,9 +89,6 @@ class DeformationSpec:
     def mu(self):
         return self.algebra.mu
 
-    def basis_polys(self):
-        return self.basis.polynomials()
-
 
 def mul_tables(spec):
     """The quotient algebra built with the spec: structure constants tau,
@@ -124,7 +108,6 @@ class LogMatrix:
 
     sigma: PolyMatrix
     sigma0: PolyMatrix
-    weighted: bool
 
     @cached_property
     def discriminant(self):
@@ -142,7 +125,7 @@ def log_matrix(spec, ws, tables):
     if sigma != sigma0.scale(ws.wF):
         raise AssertionError("weighted logarithmic matrix disagrees with the "
                              "normal-form matrix")
-    return LogMatrix(sigma, sigma0, True)
+    return LogMatrix(sigma, sigma0)
 
 
 @dataclass

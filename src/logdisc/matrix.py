@@ -76,16 +76,6 @@ class PolyMatrix:
         point = self.vt.resolve(assignment)
         return [[e.value_at(point) for e in row] for row in self.entries]
 
-    def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.rows) for j in range(i))
-
-    def submatrix(self, rows, cols):
-        return PolyMatrix(self.vt, [[self.entries[i][j] for j in cols]
-                                    for i in rows])
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.entries)
@@ -154,29 +144,6 @@ def _univariate(p, name):
     deg = max(cf)
     zero = Polynomial.zero(p.vt)
     return [cf.get(e, zero) for e in range(deg + 1)]
-
-
-def sylvester_matrix(p, q, name):
-    """Sylvester matrix of p, q with respect to one variable."""
-    cp = _univariate(p, name)
-    cq = _univariate(q, name)
-    n, m = len(cp) - 1, len(cq) - 1
-    if n < 1 and m < 1:
-        raise ValueError("both polynomials constant in %s" % name)
-    size = n + m
-    zero = Polynomial.zero(p.vt)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cp)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cq)):
-            row[i + j] = c
-        rows.append(row)
-    return PolyMatrix(p.vt, rows)
 
 
 def resultant(p, q, name):

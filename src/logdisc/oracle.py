@@ -31,6 +31,7 @@ DEFAULT_BALL = 10.0
 NEWTON_STEPS = 80
 LINE_SEARCH_HALVINGS = 30
 DIVERGENCE_FACTOR = 50
+GRID_DOUBLINGS = 6
 
 
 @dataclass
@@ -444,16 +445,15 @@ def _chi_at(F, assignment, radius, n):
     return _chi_of(pge), _chi_of(ple), _chi_of(peq)
 
 
-def grid_euler(F, assignment, ball_radius=DEFAULT_BALL, resolution=64,
-               max_doublings=6):
+def grid_euler(F, assignment, ball_radius=DEFAULT_BALL, resolution=64):
     """Grid-based Euler characteristics of the regions F >= 0, F <= 0 and
     F = 0 on a square around the origin, doubled until two consecutive
-    resolutions agree."""
+    resolutions agree (at most GRID_DOUBLINGS doublings)."""
     if F.vt.nx > 2:
         raise ValueError("grid oracle supports at most two space variables")
     n = resolution
     prev = None
-    for _ in range(max_doublings + 1):
+    for _ in range(GRID_DOUBLINGS + 1):
         cur = _chi_at(F, assignment, ball_radius, n)
         if prev is not None and cur == prev:
             return GridChi(n, cur[0], cur[1], cur[2], True)

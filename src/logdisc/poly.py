@@ -100,21 +100,6 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Total term order on x-monomials; ties broken by VarTable order."""
-
-    kind: str = "degrevlex"
-
-    def key(self, expts):
-        if self.kind == "degrevlex":
-            return degrevlex_key(expts)
-        raise ValueError("unknown order %r" % self.kind)
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-
-
 class Polynomial:
     """Immutable sparse polynomial attached to a VarTable."""
 
@@ -187,11 +172,6 @@ class Polynomial:
                 if e:
                     used.add(i)
         return used
-
-    def total_degree(self):
-        if self.is_zero:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def degree_in(self, name):
         i = self.vt.index(name)

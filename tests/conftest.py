@@ -5,6 +5,20 @@ from logdisc.poly import VarTable
 from logdisc import hyper
 
 
+def is_symmetric(m):
+    """Whether a PolyMatrix is square and equal to its transpose."""
+    if m.rows != m.cols:
+        return False
+    return all(m.entries[i][j] == m.entries[j][i]
+               for i in range(m.rows) for j in range(i))
+
+
+def total_degree(p):
+    if p.is_zero:
+        return -1
+    return max(sum(m) for m in p.terms)
+
+
 class Bundle:
     """Fully computed hypersurface pipeline for one deformation."""
 

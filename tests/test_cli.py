@@ -1,9 +1,11 @@
 import json
+import re
+import shlex
 import sys
 
 import pytest
 
-from logdisc import groebner
+from logdisc import ci, groebner
 from logdisc.cli import main
 
 FIX = "fixtures"
@@ -239,3 +241,155 @@ def test_one_buchberger_run_per_command(monkeypatch, capsys):
         code, _, _ = run(capsys, *argv)
         assert code == 0, argv
         assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ball", "0"), ("--ball", "-1"), ("--ball", "inf"),
+    ("--resolution", "0"), ("--resolution", "-4")])
+def test_oracle_options_refused(capsys, flag, value):
+    code, out, err = run(capsys, "oracle-check", f"{FIX}/a2.ls",
+                         "--params", "u=0,b=-3", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + flag) and err.count("\n") == 1
+
+
+def test_table_queries_never_build_P(monkeypatch, capsys):
+    calls = []
+    real = ci.multiplication_rows
+
+    def spy(tau, coeffs):
+        calls.append(len(tau))
+        return real(tau, coeffs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("logdisc")
+                and getattr(mod, "multiplication_rows", None) is real):
+            monkeypatch.setattr(mod, "multiplication_rows", spy)
+
+    argvs = [("tables", f"{FIX}/e6.ls"), ("bifurcation", f"{FIX}/e6.ls"),
+             ("gm", f"{FIX}/a2.ls"), ("gm", f"{FIX}/ci_k2.ls")]
+    for argv in argvs:
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert calls == [], argv
+    # the spy sees the commands that do read P
+    code, _, _ = run(capsys, "ci-tables", f"{FIX}/a2.ls")
+    assert code == 0
+    assert calls == [2]
+
+
+def test_weights_keep_their_own_monomials_and_messages(tmp_path, capsys):
+    """The hypersurface commands weigh f0 with its constant term; gm weighs
+    the maps without their constant and parameter terms."""
+    path = tmp_path / "const.ls"
+    path.write_text('x_vars = [x]\nparams = [u, b]\n'
+                    'f0 = "x^3 + 1"\nbasis = ["1", "x"]\n')
+    code, _, err = run(capsys, "logfields", str(path))
+    assert code == 1
+    assert ("no positive integer weights make x^3 + 1 quasihomogeneous"
+            in err)
+    code, out, _ = run(capsys, "gm", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)["gm"]
+    assert doc["x_weights"] == [1] and doc["f_weights"] == [3]
+    path = tmp_path / "nonqh.ls"
+    path.write_text('x_vars = [x]\nparams = [u, a, b]\n'
+                    'f0 = "x^4 + x^3"\nbasis = ["1", "x", "x^2"]\n')
+    code, _, err = run(capsys, "gm", str(path))
+    assert code == 1
+    assert "maps admit no common positive integer weight system" in err
+
+
+# exact text output of each command, one fixture each
+GOLDEN_TEXT = [
+    (('tables', 'a2'),
+     'mu = 2\n'
+     'basis = 1, x\n'
+     'tau^1:\n'
+     '  [1, 0]\n'
+     '  [0, -1/3*b]\n'
+     'tau^2:\n'
+     '  [0, 1]\n'
+     '  [1, 0]\n'
+     'zeta = 2, 0\n'),
+    (('logfields', 'a2'),
+     'Sigma:\n'
+     '  [3*u, 2*b]\n'
+     '  [-2/3*b^2, 3*u]\n'
+     'det Sigma = 4/3*b^3 + 9*u^2\n'),
+    (('discriminant', 'a2'),
+     '4/3*b^3 + 9*u^2\n'),
+    (('bifurcation', 'a2'),
+     '-4/3*b\n'),
+    (('maxwell', 'a2'),
+     'det T = -4/3*b\n'
+     'maxwell candidate = 1\n'),
+    (('traceforms', 'a2'),
+     'T:\n'
+     '  [2, 0]\n'
+     '  [0, -2/3*b]\n'
+     'BH:\n'
+     '  [0, -4*b]\n'
+     '  [-4*b, 0]\n'
+     'BHF:\n'
+     '  [-8*b^2, -12*u*b]\n'
+     '  [-12*u*b, 8/3*b^3]\n'),
+    (('ci-discriminant', 'a2'),
+     'det P = 4/27*b^3 + u^2\n'
+     'det T = -4/3*b\n'),
+    (('gm', 'a2'),
+     'tr M0 = 3\n'
+     'B_0:\n'
+     '  [4, 0]\n'
+     '  [0, 5]\n'
+     'B_1:\n'
+     '  [0, 5]\n'
+     '  [-2*b, 0]\n'),
+    (('ci-tables', 'ci_k2'),
+     'mu = 4\n'
+     'basis = 1, x2, x1, x2^2\n'
+     'P:\n'
+     '  [-u, 0, 1/2*t1, 2]\n'
+     '  [0, -u, 0, 0]\n'
+     '  [0, 0, -1/4*t1^2 - u, 1/2*t1]\n'
+     '  [0, 0, 0, -u]\n'
+     'T:\n'
+     '  [4, 0, -1/2*t1, 0]\n'
+     '  [0, 0, 0, 0]\n'
+     '  [-1/2*t1, 0, 1/4*t1^2, 0]\n'
+     '  [0, 0, 0, 0]\n'),
+    (('count', 'a2', '--params', 'u=0,b=-3'),
+     'signed critical point count = 0\n'),
+    (('euler', 'a2', '--params', 'u=0,b=-3'),
+     'chi(F>=0) = 2, chi(F<=0) = 2, chi(F=0) = 3\n'
+     'sign BH = 0, sign BHF = -2\n'),
+    (('oracle-check', 'a2', '--params', 'u=0,b=-3'),
+     'numeric signed count = 0, exact signature = 0, agree = True\n'
+     'grid chi = (2, 2, 3) stable=True, agree = True\n'),
+    (('ci-count', 'ci_parabola', '--params', 'u=3,t1=1,t2=2'),
+     'signed critical point count = -1\n'),
+    (('oracle-check', 'ci_parabola', '--params', 'u=3,t1=1,t2=2'),
+     'numeric signed count = -1, exact signature = -1, agree = True\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_TEXT,
+                         ids=[" ".join(a[:2]) for a, _ in GOLDEN_TEXT])
+def test_text_output(capsys, argv, expected):
+    command, fixture, *rest = argv
+    code, out, err = run(capsys, command, f"{FIX}/{fixture}.ls", *rest)
+    assert code == 0
+    assert err == ""
+    assert out == expected
+
+
+def test_readme_cli_examples():
+    with open("README.md", encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## CLI.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines()]
+    argvs = [shlex.split(line)[1:] for line in lines if line.strip()]
+    assert len(argvs) >= 10
+    for argv in argvs:
+        assert main(argv) == 0, argv

@@ -4,8 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logdisc.matrix import (PolyMatrix, det_bareiss, discriminant, resultant,
-                            sylvester_matrix)
+from logdisc.matrix import (PolyMatrix, _univariate, det_bareiss,
+                            discriminant, resultant)
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable, exact_divide, poly_gcd
 
@@ -16,6 +16,10 @@ def p(text):
     return parse_poly(text, VT)
 
 
+def submatrix(m, rows, cols):
+    return PolyMatrix(m.vt, [[m.entries[i][j] for j in cols] for i in rows])
+
+
 def det_cofactor(m):
     n = m.rows
     if n == 1:
@@ -24,7 +28,7 @@ def det_cofactor(m):
     rest = list(range(1, n))
     for j in range(n):
         cols = [k for k in range(n) if k != j]
-        minor = det_cofactor(m.submatrix(rest, cols))
+        minor = det_cofactor(submatrix(m, rest, cols))
         term = m[0, j] * minor
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
@@ -153,6 +157,30 @@ def test_det_non_square_rejected():
     for rows in ([[p("1"), p("0")]], [[p("1")], [p("u")], [p("a")]]):
         with pytest.raises(ValueError):
             det_bareiss(PolyMatrix(VT, rows))
+
+
+def sylvester_matrix(p, q, name):
+    """Sylvester matrix of p, q with respect to one variable: the reference
+    of the subresultant resultant."""
+    cp = _univariate(p, name)
+    cq = _univariate(q, name)
+    n, m = len(cp) - 1, len(cq) - 1
+    if n < 1 and m < 1:
+        raise ValueError("both polynomials constant in %s" % name)
+    size = n + m
+    zero = Polynomial.zero(p.vt)
+    rows = []
+    for i in range(m):
+        row = [zero] * size
+        for j, c in enumerate(reversed(cp)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(n):
+        row = [zero] * size
+        for j, c in enumerate(reversed(cq)):
+            row[i + j] = c
+        rows.append(row)
+    return PolyMatrix(p.vt, rows)
 
 
 def test_resultant_equals_sylvester_det():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import total_degree
 from logdisc.parse import PolyParseError, parse_poly
 from logdisc.poly import Polynomial, VarTable
 
@@ -11,7 +12,7 @@ VT = VarTable(("x1", "x2"), ("u", "b", "c", "d"))
 
 def test_deformation_input():
     q = parse_poly("x1^3 + x2^3 + u + b*x1*x2 + c*x1 + d*x2", VT)
-    assert q.total_degree() == 3
+    assert total_degree(q) == 3
     assert len(q.terms) == 6
 
 
