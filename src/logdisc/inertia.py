@@ -40,13 +40,6 @@ class SymMatrixQ:
     def from_poly_matrix(cls, pm, assignment):
         return cls(pm.values(assignment))
 
-    def neg(self):
-        return SymMatrixQ(tuple(tuple(-e for e in row) for row in self.entries))
-
-    def scale(self, c):
-        c = Fraction(c)
-        return SymMatrixQ(tuple(tuple(c * e for e in row) for row in self.entries))
-
 
 @dataclass(frozen=True)
 class InertiaTriple:

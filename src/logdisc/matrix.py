@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .poly import Polynomial, exact_divide, _coeffs_in, _pseudo_rem
+from .poly import Polynomial, exact_divide, _coeffs_in, _subresultant_prs
 
 
 def mat_mul(a, b):
@@ -150,51 +150,19 @@ def resultant(p, q, name):
     """Resultant with respect to one variable, by subresultant PRS."""
     if p.is_zero or q.is_zero:
         return Polynomial.zero(p.vt)
-    cp = _univariate(p, name)
-    cq = _univariate(q, name)
-    dp, dq = len(cp) - 1, len(cq) - 1
+    dp, dq = p.degree_in(name), q.degree_in(name)
     if dp == 0 and dq == 0:
         raise ValueError("both polynomials constant in %s" % name)
     if dp == 0:
-        return cp[0] ** dq
+        return p ** dq
     if dq == 0:
-        return cq[0] ** dp
-    vt = p.vt
-    i = vt.index(name)
-    sign = 1
+        return q ** dp
+    i = p.vt.index(name)
     if dp < dq:
-        p, q, cp, cq, dp, dq = q, p, cq, cp, dq, dp
-        if dp % 2 and dq % 2:
-            sign = -sign
-    one = Polynomial.const(vt, 1)
-    g, h = one, one
-    a, b = p, q
-    da, db = dp, dq
-    while True:
-        d = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        r, e = _pseudo_rem(a, b, i)
-        if r.is_zero:
-            return Polynomial.zero(vt)
-        if e:
-            r = r * _coeffs_in(b, i)[db] ** e
-        dr = max(_coeffs_in(r, i)) if i in r.variables_used() else 0
-        divisor = g * h ** d
-        a, da = b, db
-        b = exact_divide(r, divisor)
-        assert b is not None
-        db = dr
-        g = _coeffs_in(a, i)[da]
-        hd = exact_divide(g ** d, h ** (d - 1)) if d > 1 else (g if d == 1 else h)
-        if d > 1:
-            assert hd is not None
-        h = hd
-        if db == 0:
-            lb = b if i not in b.variables_used() else _coeffs_in(b, i)[0]
-            res = exact_divide(lb ** da, h ** (da - 1)) if da > 1 else lb
-            assert res is not None
-            return res * sign
+        # Res(q, p) = (-1)^(dp dq) Res(p, q)
+        res = _subresultant_prs(q, p, i)[1]
+        return -res if dp % 2 and dq % 2 else res
+    return _subresultant_prs(p, q, i)[1]
 
 
 def discriminant(p, name):

@@ -49,10 +49,6 @@ class CriticalPointReport:
     signed_count: int
     complete: bool  # found the expected mu points
 
-    @property
-    def count(self):
-        return len(self.points)
-
 
 class _PolyBatch:
     """Float evaluation of several polynomials in the x-variables (fixed
@@ -424,21 +420,9 @@ def _chi_at(F, assignment, radius, n):
     import numpy as np
     sign = _exact_eval_grid(F, assignment, radius, n)
     if sign.shape[1] == 1:
-        s = sign[:, 0]
-
-        def seg(marked):
-            e = marked[:-1] | marked[1:]
-            pad = np.zeros(len(e) + 2, dtype=bool)
-            pad[1:-1] = e
-            v = pad[:-1] | pad[1:]
-            return e, v
-
-        e_ge, v_ge = seg(s >= 0)
-        e_le, v_le = seg(s <= 0)
-        chi_ge = int(v_ge.sum()) - int(e_ge.sum())
-        chi_le = int(v_le.sum()) - int(e_le.sum())
-        chi_eq = int((v_ge & v_le).sum()) - int((e_ge & e_le).sum())
-        return chi_ge, chi_le, chi_eq
+        # one variable: the strip K x [0, 1] has the Euler characteristic
+        # of K, and so has its intersection for F = 0
+        sign = np.repeat(sign, 2, axis=1)
     pge = _complex_2d(sign >= 0)
     ple = _complex_2d(sign <= 0)
     peq = tuple(a & b for a, b in zip(pge, ple))

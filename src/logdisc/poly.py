@@ -16,7 +16,9 @@ built dict that already satisfies the invariant and skips the check.
 ``exact_divide`` is a heap division (Monagan and Pearce, "Sparse
 polynomial division using a heap", J. Symbolic Comput. 2011): the
 remainder is one mutable dict, its monomials sit in a heap with lazy
-deletion, and each step cancels the largest one in place.  The
+deletion, and each step cancels the largest one in place.  ``poly_gcd``
+and ``matrix.resultant`` share one subresultant remainder sequence
+(``_subresultant_prs``), which needs no content inside its loop.  The
 determinants in ``matrix`` need no division at all: they expand memoised
 minors over Z[s], with Python int coefficients, and divide by one integer
 at the end.
@@ -433,27 +435,58 @@ def _coeffs_in(p, i):
 
 
 def _pseudo_rem(a, b, i):
-    """Pseudo-remainder of a by b, both univariate in variable index i.
-
-    Returns (r, e): lc(b)^e * r is prem(a, b) with its exact scaling
-    lc(b)^(deg a - deg b + 1). The loop stops as soon as the degree drops
-    below deg b, so e is deg a - deg b + 1 minus the steps it took.
-    """
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, both univariate
+    in variable index i with deg a >= deg b."""
     cb = _coeffs_in(b, i)
     db = max(cb)
     lc_b = cb[db]
     r = a
-    e = a.degree_in(a.vt.names[i]) - db + 1
+    e = max(m[i] for m in a.terms) - db + 1
     var_mono = tuple(1 if j == i else 0 for j in range(a.vt.nvars))
     xv = Polynomial._raw(a.vt, {var_mono: Fraction(1)})
     while True:
         cr = _coeffs_in(r, i)
         dr = max(cr) if cr else -1
         if dr < db:
-            return r, e
+            # the steps skipped by a degree drop still scale by lc(b)
+            return r * lc_b ** e if e else r
         r = lc_b * r - cr[dr] * xv ** (dr - db) * b
         e -= 1
         # the cancelled leading coefficient keeps the loop finite
+
+
+def _subresultant_prs(a, b, i):
+    """Subresultant PRS of a and b in variable index i, deg a >= deg b >= 1
+    (Collins, JACM 1967; Brown and Traub, JACM 1971).
+
+    Each pseudo-remainder is divided exactly by g * h^d, where d is the
+    degree drop of the step, g the leading coefficient of the divisor
+    before it and h the running subresultant scale, so the members stay
+    subresultants and no content is taken inside the loop. Returns
+    (last, res): last is the last nonzero member, whose primitive part in
+    the variable is the gcd of the primitive parts of a and b; res is
+    Res(a, b) in that variable, zero unless last is free of it.
+    """
+    g = h = Polynomial.const(a.vt, 1)
+    sign = 1
+    da = max(m[i] for m in a.terms)
+    db = max(m[i] for m in b.terms)
+    while True:
+        d = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_rem(a, b, i)
+        if r.is_zero:
+            return b, Polynomial.zero(a.vt)
+        a, da = b, db
+        b = exact_divide(r, g * h ** d)
+        db = max(m[i] for m in b.terms)
+        g = _coeffs_in(a, i)[da]
+        if d:
+            h = g if d == 1 else exact_divide(g ** d, h ** (d - 1))
+        if not db:
+            res = b if da == 1 else exact_divide(b ** da, h ** (da - 1))
+            return b, res * sign
 
 
 def _content_wrt(coeffs):
@@ -466,7 +499,8 @@ def _content_wrt(coeffs):
 
 
 def poly_gcd(a, b):
-    """Primitive gcd, positive leading coefficient (primitive PRS)."""
+    """Primitive gcd, positive leading coefficient: contents in the main
+    variable by recursion, primitive parts by the subresultant PRS."""
     if a.is_zero:
         return make_primitive(b)
     if b.is_zero:
@@ -488,16 +522,10 @@ def poly_gcd(a, b):
     g = exact_divide(b, cb)
     if max(_coeffs_in(f, i)) < max(_coeffs_in(g, i)):
         f, g = g, f
-    while True:
-        r = _pseudo_rem(f, g, i)[0]
-        if r.is_zero:
-            break
-        cr = _content_wrt(_coeffs_in(r, i))
-        r = exact_divide(r, cr)
-        f, g = g, r
-        if i not in g.variables_used():
-            return make_primitive(cont)
-    gprim = exact_divide(g, _content_wrt(_coeffs_in(g, i)))
+    last = _subresultant_prs(f, g, i)[0]
+    if i not in last.variables_used():
+        return make_primitive(cont)
+    gprim = exact_divide(last, _content_wrt(_coeffs_in(last, i)))
     return make_primitive(cont * gprim)
 
 

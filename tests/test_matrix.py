@@ -215,6 +215,28 @@ def test_resultant_matches_sylvester_random(c0, c1, d0, d1):
     assert resultant(a, b, "x") == det_bareiss(sylvester_matrix(a, b, "x"))
 
 
+@st.composite
+def x_polys(draw):
+    """Polynomials of degree at most 4 in x whose coefficients are small
+    polynomials in a and b, often zero: degree gaps and leading
+    coefficients that are not units give abnormal remainder sequences."""
+    terms = {}
+    for e in range(draw(st.integers(1, 4)) + 1):
+        for _ in range(draw(st.integers(0, 2))):
+            m = (e, 0, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+            terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
+    return Polynomial(VT, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_polys(), x_polys())
+@example(p("x^4 + a*x + 1"), p("a*x^2 + b*x + 1"))
+def test_resultant_matches_sylvester_parametric(a, b):
+    if a.degree_in("x") < 1 or b.degree_in("x") < 1:
+        return
+    assert resultant(a, b, "x") == det_bareiss(sylvester_matrix(a, b, "x"))
+
+
 def test_discriminant_quadratic():
     assert discriminant(p("u^2 + b"), "u") == p("-4*b")
 

@@ -331,8 +331,8 @@ GRID_VT = {1: VarTable(("x1",), ("u",)), 2: VarTable(("x1", "x2"), ("u",))}
 
 
 @st.composite
-def grid_polys(draw):
-    nx = draw(st.sampled_from((1, 2)))
+def grid_polys(draw, nxs=(1, 2)):
+    nx = draw(st.sampled_from(nxs))
     # integers up to 10^400 overflow float64; small ones make exact zeros
     coeff = st.one_of(st.integers(-4, 4),
                       st.integers(-10 ** 400, 10 ** 400),
@@ -367,3 +367,30 @@ def test_filtered_grid_signs_equal_exact_signs(case):
     F, point, radius, n = case
     assert (_exact_eval_grid(F, point, radius, n).tolist()
             == _fraction_signs(F, point, radius, n).tolist())
+
+
+def _segment_chi(sign):
+    """chi of F >= 0, F <= 0 and F = 0 for one variable, from the closed
+    1-complex of the grid edges with a marked end."""
+    def seg(marked):
+        e = marked[:-1] | marked[1:]
+        v = np.zeros(len(marked), dtype=bool)
+        v[:-1] |= e
+        v[1:] |= e
+        return e, v
+
+    (e_ge, v_ge), (e_le, v_le) = seg(sign >= 0), seg(sign <= 0)
+    return tuple(int(v.sum()) - int(e.sum()) for e, v in
+                 ((e_ge, v_ge), (e_le, v_le), (e_ge & e_le, v_ge & v_le)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_polys(nxs=(1,)))
+@example((parse_poly("x1^2 + u", GRID_VT[1]), {"u": Fraction(-1)},
+          Fraction(10), 8))
+def test_one_variable_grid_is_the_segment_complex(case):
+    """One variable runs through the two-variable complex on the strip
+    K x [0, 1], whose chi is that of the segment complex K."""
+    F, point, radius, n = case
+    sign = _exact_eval_grid(F, point, radius, n)[:, 0]
+    assert oracle._chi_at(F, point, radius, n) == _segment_chi(sign)

@@ -1,15 +1,19 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import total_degree
+from logdisc.hyper import DeformationSpec
+from logdisc.matrix import det_bareiss
 from logdisc.parse import parse_poly
-from logdisc.poly import (Polynomial, VarTable, exact_divide, make_primitive,
-                          monomial_div, poly_gcd, squarefree_core)
+from logdisc.poly import (Polynomial, VarTable, _coeffs_in, exact_divide,
+                          make_primitive, monomial_div, poly_gcd,
+                          squarefree_core)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -149,6 +153,106 @@ def test_gcd_divides_both(a, b, c):
     assert exact_divide(q2, g) is not None
     if not c.is_constant:
         assert not g.is_constant
+
+
+def primitive_prs_pseudo_rem(a, b, i):
+    """Pseudo-remainder of a by b in variable index i, scaled only by the
+    steps taken."""
+    cb = _coeffs_in(b, i)
+    db = max(cb)
+    var_mono = tuple(1 if j == i else 0 for j in range(a.vt.nvars))
+    xv = Polynomial(a.vt, {var_mono: 1})
+    r = a
+    while True:
+        cr = _coeffs_in(r, i)
+        dr = max(cr) if cr else -1
+        if dr < db:
+            return r
+        r = cb[db] * r - cr[dr] * xv ** (dr - db) * b
+
+
+def primitive_prs_content(coeffs):
+    g = None
+    for c in coeffs.values():
+        g = c if g is None else primitive_prs_gcd(g, c)
+    return g
+
+
+def primitive_prs_gcd(a, b):
+    """The reference gcd: primitive PRS, dividing every remainder by its
+    content in the main variable (Collins 1967)."""
+    if a.is_zero:
+        return make_primitive(b)
+    if b.is_zero:
+        return make_primitive(a)
+    used_a, used_b = a.variables_used(), b.variables_used()
+    if not used_a | used_b:
+        return Polynomial.const(a.vt, 1)
+    i = max(used_a | used_b)
+    if i not in used_a or i not in used_b:
+        if i in used_a:
+            a, b = b, a
+        return primitive_prs_gcd(a, primitive_prs_content(_coeffs_in(b, i)))
+    ca = primitive_prs_content(_coeffs_in(a, i))
+    cb = primitive_prs_content(_coeffs_in(b, i))
+    cont = primitive_prs_gcd(ca, cb)
+    f, g = exact_divide(a, ca), exact_divide(b, cb)
+    if max(_coeffs_in(f, i)) < max(_coeffs_in(g, i)):
+        f, g = g, f
+    while True:
+        r = primitive_prs_pseudo_rem(f, g, i)
+        if r.is_zero:
+            break
+        r = exact_divide(r, primitive_prs_content(_coeffs_in(r, i)))
+        f, g = g, r
+        if i not in g.variables_used():
+            return make_primitive(cont)
+    g = exact_divide(g, primitive_prs_content(_coeffs_in(g, i)))
+    return make_primitive(cont * g)
+
+
+@st.composite
+def polys_in(draw, nvars, nterms=3):
+    """Polynomials in the first nvars variables of VT."""
+    terms = {}
+    for _ in range(draw(st.integers(1, nterms))):
+        m = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
+        terms[m + (0,) * (4 - nvars)] = draw(coeffs)
+    return Polynomial(VT, terms)
+
+
+@st.composite
+def planted_products(draw):
+    nvars = draw(st.integers(2, 3))
+    a, b, c = (draw(polys_in(nvars)) for _ in range(3))
+    return a * c, b * c, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_products())
+@example((p("x^2 - y^2"), p("x*a - y*a"), p("x - y")))
+def test_gcd_matches_the_primitive_prs(planted):
+    q1, q2, c = planted
+    assume(not q1.is_zero and not q2.is_zero)
+    g = poly_gcd(q1, q2)
+    assert g == primitive_prs_gcd(q1, q2)
+    assert exact_divide(g, make_primitive(c)) is not None
+
+
+@pytest.mark.parametrize("x_vars,f0,basis", [
+    (("x",), "x^6", ["1", "x", "x^2", "x^3", "x^4"]),
+    (("x1", "x2"), "x1^2*x2 + x2^4", ["1", "x1", "x2", "x1^2", "x2^2"]),
+], ids=["A5", "D5"])
+def test_squarefree_core_of_det_T_mu5(x_vars, f0, basis):
+    """det T of A5 and D5 is squarefree, so its core is itself, up to the
+    rational content."""
+    vt = VarTable(x_vars, ("u", "a", "b", "c", "d"))
+    spec = DeformationSpec.build(parse_poly(f0, vt),
+                                 [parse_poly(b, vt) for b in basis], vt.s_vars)
+    det_t = det_bareiss(spec.algebra.T)
+    start = time.monotonic()
+    assert squarefree_core(det_t) == make_primitive(det_t)
+    assert time.monotonic() - start < 20.0
 
 
 def test_squarefree_core():
