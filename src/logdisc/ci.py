@@ -260,20 +260,25 @@ class CITables:
                           tau_form([t.entries for t in self.tau], self.zeta))
 
     @cached_property
-    def P(self):
-        """The matrix P(s) of multiplication by the first map, built on
-        first use: one normal form, whose products with the basis follow
-        from tau."""
+    def first_map_coords(self):
+        """Coordinates of the first map F_1 - u, from one normal form. With
+        u added at the basis element 1 they are F_1's and must be free of u,
+        as tau is; then so is P + u*Id."""
         vt = self.phi.vt
         u = vt.s_vars[0]
-        P = PolyMatrix(vt, multiplication_rows(
-            [t.entries for t in self.tau],
-            coordinates(self.first_map, self.gb, self.phi)))
-        shifted = P + PolyMatrix.identity(vt, self.mu).scale(
-            Polynomial.var(vt, u))
-        if any(e.degree_in(u) > 0 for row in shifted.entries for e in row):
+        coords = coordinates(self.first_map, self.gb, self.phi)
+        shifted = [c + Polynomial.var(vt, u) if not any(m) else c
+                   for c, m in zip(coords, self.phi.monomials)]
+        if any(c.degree_in(u) > 0 for c in shifted):
             raise AssertionError("P + u*Id must be free of u")
-        return P
+        return coords
+
+    @cached_property
+    def P(self):
+        """The matrix P(s) of multiplication by the first map, built on
+        first use: its products with the basis follow from tau."""
+        return PolyMatrix(self.phi.vt, multiplication_rows(
+            [t.entries for t in self.tau], self.first_map_coords))
 
 
 def ci_tables(spec, mi, basis_hint=None):

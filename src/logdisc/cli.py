@@ -136,10 +136,10 @@ def parse_param_point(text, vt):
             raise InputError("bad parameter assignment %r" % item)
         name, _, val = item.partition("=")
         name = name.strip()
-        try:
-            vt.index(name)
-        except KeyError:
-            raise InputError("unknown parameter %r" % name) from None
+        if name not in vt.s_vars:
+            raise InputError("unknown parameter %r" % name)
+        if name in point:
+            raise InputError("parameter %r given twice" % name)
         try:
             point[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
@@ -164,18 +164,20 @@ def _triple(tri):
     return {"n_plus": tri.n_plus, "n_minus": tri.n_minus, "n_zero": tri.n_zero}
 
 
-def _at_point(loaded, args, use_sigma):
-    """The --params point, and tau, T and Sigma (use_sigma) or P there. The
-    algebra and the form are built before the point is read."""
-    form = loaded.logm.sigma if use_sigma else loaded.algebra.P
-    point = parse_param_point(args.params or "", loaded.vt)
-    return (point,) + hy.forms_at(loaded.algebra.tau, form, point)
+def _at_point(algebra, args, sign):
+    """The --params point, and tau, T and sign * P there; a hypersurface
+    takes -P, a positive multiple of Sigma. The algebra and the coordinates
+    of the first map are built before the point is read."""
+    algebra.first_map_coords
+    point = parse_param_point(args.params or "", algebra.phi.vt)
+    tau, T, P = hy.forms_at(algebra, point)
+    return point, tau, T, [[sign * e for e in row] for row in P]
 
 
-def _euler_at(loaded, tau, T, sigma, point):
-    """B^H, B^HF and the Euler characteristics at one point."""
+def _euler_at(loaded, tau, T, form, point):
+    """B^H, -P B^H and the Euler characteristics at one point."""
     bh, bhf = map(SymMatrixQ,
-                  hy.hessian_forms_at(loaded.spec, tau, T, sigma, point))
+                  hy.hessian_forms_at(loaded.spec, tau, T, form, point))
     return bh, bhf, euler_characteristics(bh, bhf, loaded.vt.nx)
 
 
@@ -226,8 +228,8 @@ def traceforms(loaded, args):
 
 
 def euler(loaded, args):
-    point, tau, T, sigma = _at_point(loaded, args, True)
-    bh, bhf, rep = _euler_at(loaded, tau, T, sigma, point)
+    point, tau, T, form = _at_point(loaded.spec.algebra, args, -1)
+    bh, bhf, rep = _euler_at(loaded, tau, T, form, point)
     return {"mu": loaded.spec.mu,
             "inertia": {"BH": _triple(inertia(bh)),
                         "BHF": _triple(inertia(bhf))},
@@ -237,9 +239,11 @@ def euler(loaded, args):
 
 
 def count(loaded, args):
-    """`count` (hypersurfaces) takes the signature of Sigma T, `ci-count`
+    """`count` (hypersurfaces) takes the signature of -P T, `ci-count`
     that of P T."""
-    _, _, T, form = _at_point(loaded, args, args.command == "count")
+    sign = -1 if args.command == "count" else 1
+    _, _, T, form = _at_point((loaded.spec if sign < 0 else loaded).algebra,
+                              args, sign)
     st = SymMatrixQ(mat_mul(form, T))
     signed = critical_count(st)
     return {"mu": loaded.algebra.mu, "inertia": _triple(inertia(st)),
@@ -264,10 +268,10 @@ def gm(loaded, args):
 
 
 def oracle_check(loaded, args):
-    """The finder runs on F for a hypersurface (with Sigma, and the grid in
+    """The finder runs on F for a hypersurface (with -P, and the grid in
     at most two variables), on the maps for a complete intersection (P)."""
     hyper = loaded.kind == "hypersurface"
-    point, tau, T, form = _at_point(loaded, args, hyper)
+    point, tau, T, form = _at_point(loaded.algebra, args, -1 if hyper else 1)
     exact = critical_count(SymMatrixQ(mat_mul(form, T)))
     maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
     rep = find_critical_points(maps[0], point, loaded.algebra.mu,

@@ -154,25 +154,26 @@ def trace_forms(spec, tables, logm):
     return TraceForms(T, logm.sigma * T, BH, logm.sigma * BH)
 
 
-def forms_at(tau, sigma, point):
-    """tau, T and Sigma (P for complete intersections) at one parameter
-    point, as row lists of rationals.
+def forms_at(tables, point):
+    """tau, T and P at one parameter point, as row lists of rationals, from
+    tau and the first map's coordinates evaluated there. Evaluation is a
+    ring homomorphism, so each equals the evaluated parametric form. For a
+    hypersurface -P is a positive multiple of Sigma = -wF * P."""
+    at = tables.phi.vt.resolve(point)
+    tau = [t.values(point) for t in tables.tau]
+    coords = [c.value_at(at) for c in tables.first_map_coords]
+    return tau, tau_form(tau, traces(tau)), multiplication_rows(tau, coords)
 
-    Evaluation is a ring homomorphism, so every form built from these over
-    Q equals the evaluated parametric form exactly.
-    """
-    tau = [t.values(point) for t in tau]
-    return tau, tau_form(tau, traces(tau)), sigma.values(point)
 
-
-def hessian_forms_at(spec, tau, T, sigma, point):
-    """B^H and B^HF at one parameter point from the rationals of forms_at.
-    The Hessian is specialised before its determinant is taken."""
+def hessian_forms_at(spec, tau, T, form, point):
+    """B^H and form * B^H at one parameter point from the rationals of
+    forms_at, form being -P (or Sigma) there. The Hessian is specialised
+    before its determinant is taken."""
     h = det_bareiss(_hessian(spec.F.evaluate(point)))
     at = spec.vt.resolve(point)
     hvec = [c.value_at(at) for c in coordinates(h, spec.gb, spec.basis)]
     BH = tau_form(tau, mat_vec(T, hvec))
-    return BH, mat_mul(sigma, BH)
+    return BH, mat_mul(form, BH)
 
 
 def maxwell_bifurcation(logm, tables, uname):

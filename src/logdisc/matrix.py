@@ -42,23 +42,12 @@ class PolyMatrix:
                 if e.vt != vt:
                     raise ValueError("entry from a different variable table")
 
-    @classmethod
-    def identity(cls, vt, n):
-        one = Polynomial.const(vt, 1)
-        zero = Polynomial.zero(vt)
-        return cls(vt, [[one if i == j else zero for j in range(n)]
-                        for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.entries == other.entries)
-
-    def __add__(self, other):
-        return PolyMatrix(self.vt, [[a + b for a, b in zip(r1, r2)]
-                                    for r1, r2 in zip(self.entries, other.entries)])
 
     def scale(self, c):
         return PolyMatrix(self.vt, [[e * c for e in row] for row in self.entries])

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,19 @@ def test_recast_discriminant_is_monic_in_u(ex1, a2):
         origin = {name: Fraction(0) for name in spec.params[1:]}
         expected = Polynomial.var(b.vt, "u") ** mu
         assert detP.evaluate(origin) == expected
+
+
+def test_first_map_coordinates_checked_free_of_u():
+    _, tables = pipeline(k2_spec())
+    assert len(tables.first_map_coords) == tables.mu
+    u, x1 = Polynomial.var(VT2, "u"), Polynomial.var(VT2, "x1")
+    # F_1 - u plus a term in u other than -u: P + u*Id is not free of u
+    for extra in (u * u, u * x1):
+        bad = dataclasses.replace(tables, first_map=tables.first_map + extra)
+        with pytest.raises(AssertionError, match="free of u"):
+            bad.first_map_coords
+        with pytest.raises(AssertionError, match="free of u"):
+            bad.P
 
 
 def test_product_with_trace_form_is_symmetric(ex1):

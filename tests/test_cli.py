@@ -106,6 +106,14 @@ def test_bad_params_exit_code(capsys):
     assert code == 1
     code, _, err = run(capsys, "count", f"{FIX}/a1.ls")
     assert code == 1
+    # a space variable is not a parameter, and a name may not repeat
+    for argv in (("euler", f"{FIX}/example1.ls",
+                  "--params", "u=1,d=1,c=-1,b=2,x1=3"),
+                 ("count", f"{FIX}/a2.ls", "--params", "u=0,b=-3,x=1"),
+                 ("count", f"{FIX}/a2.ls", "--params", "u=5,b=-3,u=0")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: "), argv
 
 
 def test_basis_override(capsys):
@@ -213,6 +221,18 @@ def test_bifurcation_needs_no_weights(tmp_path, capsys):
         code, _, err = run(capsys, command, str(path))
         assert code == 1
         assert "quasihomogeneous" in err
+    # the point commands read P at the point and need no weights either
+    point = ("--params", "u=-1,a=1,b=-3", "--json")
+    docs = {}
+    for command in ("count", "ci-count", "euler", "oracle-check"):
+        code, out, _ = run(capsys, command, str(path), *point)
+        assert code == 0, command
+        docs[command] = json.loads(out)
+    assert docs["count"]["count"] == -3 == -docs["ci-count"]["count"]
+    chi = docs["euler"]["chi"]
+    assert (chi["ge"], chi["le"], chi["eq"]) == (2, 1, 2)
+    oc = docs["oracle-check"]["oracle"]
+    assert oc["agree"] is True and oc["chi_agree"] is True
 
 
 def test_one_buchberger_run_per_command(monkeypatch, capsys):
@@ -382,6 +402,27 @@ def test_text_output(capsys, argv, expected):
     assert code == 0
     assert err == ""
     assert out == expected
+
+
+def test_readme_library_example(capsys):
+    with open("README.md", encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## Library.*?```python\n(.*?)```", readme,
+                      re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    lines = capsys.readouterr().out.splitlines()
+    code, out, _ = run(capsys, "discriminant", f"{FIX}/example1.ls")
+    assert code == 0
+    assert lines[0] == out.strip() == str(scope["logm"].discriminant)
+    code, out, _ = run(capsys, "euler", f"{FIX}/example1.ls", "--params",
+                       "u=1,d=1,c=-1,b=2", "--json")
+    assert code == 0
+    chi = json.loads(out)["chi"]
+    rep = scope["euler_characteristics"](scope["bh"], scope["bhf"], 2)
+    assert lines[1] == str(rep)
+    assert (rep.chi_ge, rep.chi_le, rep.chi_eq) == (chi["ge"], chi["le"],
+                                                   chi["eq"])
 
 
 def test_readme_cli_examples():

@@ -144,10 +144,6 @@ def test_det_of_permutation_matrices_is_their_sign(n):
         assert det_bareiss(m) == Polynomial.const(VT, sign(perm))
 
 
-def test_det_identity():
-    assert det_bareiss(PolyMatrix.identity(VT, 3)) == p("1")
-
-
 def test_det_singular():
     m = PolyMatrix(VT, [[p("x"), p("x")], [p("x"), p("x")]])
     assert det_bareiss(m).is_zero

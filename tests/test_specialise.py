@@ -48,7 +48,8 @@ def triple(m):
 
 
 def check_hypersurface(b, path, point):
-    tau, T, sigma = hyper.forms_at(b.tables.tau, b.logm.sigma, point)
+    tau, T, P = hyper.forms_at(b.tables, point)
+    sigma = [[-b.ws.wF * e for e in row] for row in P]
     st_ = SymMatrixQ(mat_mul(sigma, T))
     bh, bhf = map(SymMatrixQ,
                   hyper.hessian_forms_at(b.spec, tau, T, sigma, point))
@@ -125,7 +126,7 @@ PARABOLA = ci.CISpec(
 
 
 def check_ci(tables, path, point):
-    _, T, P = hyper.forms_at(tables.tau, tables.P, point)
+    _, T, P = hyper.forms_at(tables, point)
     pt = SymMatrixQ(mat_mul(P, T))
     pt0 = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
     assert pt == pt0
@@ -198,3 +199,39 @@ def test_point_commands_take_no_parametric_determinant(monkeypatch):
     assert code == 0
     assert "det Sigma = 2*u" in out
     assert ("discriminant", True) in calls
+
+
+def test_point_commands_build_nothing_parametric(monkeypatch):
+    """Point commands evaluate tau and the first map's coordinates and form
+    P over Q: no weight system, no Sigma and no parametric P is built."""
+    rows_args = []
+    unused = []
+    real_rows = ci.multiplication_rows
+
+    def rows_spy(tau, coeffs):
+        rows_args.append([e for t in tau for row in t for e in row]
+                         + list(coeffs))
+        return real_rows(tau, coeffs)
+
+    for mod in (ci, hyper):
+        monkeypatch.setattr(mod, "multiplication_rows", rows_spy)
+    for name in ("log_matrix", "derive_weights"):
+        real = getattr(hyper, name)
+        monkeypatch.setattr(hyper, name, lambda *a, name=name, real=real:
+                            unused.append(name) or real(*a))
+
+    points = {"a2": "u=0,b=-3", "example1": "u=1,d=1,c=-1,b=2",
+              "e6": "u=-10,a=3,b=-2/5,c=1/10,d=1/10,g=-1/10",
+              "ci_parabola": "u=3,t1=1,t2=2"}
+    for name, point in points.items():
+        commands = ("ci-count", "oracle-check")
+        if name != "ci_parabola":
+            commands += ("count", "euler")
+        for command in commands:
+            rows_args.clear()
+            argv = (command, f"{FIX}/{name}.ls", "--params", point)
+            assert run_cli(*argv)[0] == 0, argv
+            assert rows_args, argv
+            assert all(isinstance(e, (int, Fraction))
+                       for args in rows_args for e in args), argv
+    assert unused == []
