@@ -3,7 +3,7 @@ characteristics for versal deformations of isolated singularities."""
 
 from .poly import Polynomial, VarTable
 from .parse import parse_poly, PolyParseError
-from .matrix import PolyMatrix, det_bareiss, resultant, discriminant
+from .matrix import PolyMatrix, det_bareiss, discriminant
 from .groebner import (ParamIdeal, GroebnerBasis, QuotientBasis,
                        ReductionCertificate, buchberger, normal_form,
                        standard_basis, coordinates, NonConstantScaleError,

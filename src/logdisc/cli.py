@@ -55,7 +55,10 @@ def read_input_file(path):
             if "=" not in line:
                 raise InputError("line %d: expected key = value" % lineno)
             key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
+            key = key.strip()
+            if key in fields:
+                raise InputError("line %d: key %r given twice" % (lineno, key))
+            fields[key] = val.strip()
     return fields
 
 

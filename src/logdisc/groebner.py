@@ -285,6 +285,9 @@ def standard_basis(gb, ordering_hint=None):
     vt = gb.vt
     nx = vt.nx
     lms = gb.lead_monomials
+    if (0,) * nx in lms:
+        raise ValueError("the ideal is the unit ideal: no singular point, "
+                         "the quotient is zero")
     # finiteness: every x-variable needs a pure power among the leads
     for v in range(nx):
         if not any(all(e == 0 for k, e in enumerate(lm) if k != v) and lm[v] > 0

@@ -182,12 +182,8 @@ def maxwell_bifurcation(logm, tables, uname):
     The Maxwell candidate is the u-discriminant of the discriminant with the
     maximal exact power of the squarefree core of det T divided out.
     """
-    vt = logm.sigma.vt
     bifurcation = det_bareiss(tables.T)
-    delta = logm.discriminant
-    if delta.degree_in(uname) < 2:
-        return bifurcation, Polynomial.const(vt, 1)
-    disc = discriminant(delta, uname)
+    disc = discriminant(logm.discriminant, uname)
     if bifurcation.is_constant:
         return bifurcation, disc
     core = squarefree_core(bifurcation)

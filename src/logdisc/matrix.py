@@ -1,9 +1,11 @@
-"""Polynomial matrices: determinants, resultants, discriminants.
+"""Polynomial matrices: determinants and discriminants.
 
 Determinants expand memoised minors over Z[s] and need no division but a
 single one by an integer at the end (``det_bareiss``; the name is kept
 from the fraction-free Bareiss elimination it replaced, because callers
-and the benchmark's tracer look it up).
+and the benchmark's tracer look it up). A discriminant is the
+determinant of the Hankel matrix of its roots' power sums, which Newton's
+identities give from the coefficients (``discriminant``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .poly import Polynomial, exact_divide, _coeffs_in, _subresultant_prs
+from .poly import Polynomial, exact_divide, _coeffs_in
 
 
 def mat_mul(a, b):
@@ -135,39 +137,28 @@ def _univariate(p, name):
     return [cf.get(e, zero) for e in range(deg + 1)]
 
 
-def resultant(p, q, name):
-    """Resultant with respect to one variable, by subresultant PRS."""
-    if p.is_zero or q.is_zero:
-        return Polynomial.zero(p.vt)
-    dp, dq = p.degree_in(name), q.degree_in(name)
-    if dp == 0 and dq == 0:
-        raise ValueError("both polynomials constant in %s" % name)
-    if dp == 0:
-        return p ** dq
-    if dq == 0:
-        return q ** dp
-    i = p.vt.index(name)
-    if dp < dq:
-        # Res(q, p) = (-1)^(dp dq) Res(p, q)
-        res = _subresultant_prs(q, p, i)[1]
-        return -res if dp % 2 and dq % 2 else res
-    return _subresultant_prs(p, q, i)[1]
-
-
 def discriminant(p, name):
-    """Discriminant in one variable: (-1)^(n(n-1)/2) Res(p, p') / lc(p).
+    """Discriminant in one variable, (-1)^(n(n-1)/2) Res(p, p') / lc(p),
+    as a Hankel determinant of power sums.
 
+    With a_i the coefficients of p in the variable, n its degree and
+    lc = a_n, the scaled power sums q_k = lc^k p_k of the roots follow
+    from Newton's identities with no division: q_0 = n and
+    q_k = -sum_{i=1}^{min(k, n)} a_{n-i} lc^(i-1) (k if i = k else q_{k-i}).
+    det[p_{i+j}] (0 <= i, j < n) is the product of (r_i - r_j)^2 over the
+    pairs of roots, so det[q_{i+j}] = lc^(n(n-1)) times it, and the
+    discriminant lc^(2n-2) times it is det[q_{i+j}] / lc^((n-1)(n-2)).
     Degree-1 polynomials have the trivial (unit) discriminant.
     """
-    d = p.degree_in(name)
-    if d <= 0:
+    a = _univariate(p, name)
+    n = len(a) - 1
+    if n <= 0:
         raise ValueError("polynomial is constant in %s" % name)
-    if d == 1:
-        return Polynomial.const(p.vt, 1)
-    res = resultant(p, p.diff(name), name)
-    lc = _univariate(p, name)[-1]
-    quo = exact_divide(res, lc)
-    assert quo is not None, "resultant is always divisible by the leading coefficient"
-    if (d * (d - 1) // 2) % 2:
-        quo = -quo
-    return quo
+    lc = a[n]
+    c = [a[n - i] * lc ** (i - 1) for i in range(1, n + 1)]
+    q = [Polynomial.const(p.vt, n)]
+    for k in range(1, 2 * n - 1):
+        q.append(-sum(c[i - 1] * (k if i == k else q[k - i])
+                      for i in range(1, min(k, n) + 1)))
+    hankel = PolyMatrix(p.vt, [q[i:i + n] for i in range(n)])
+    return exact_divide(det_bareiss(hankel), lc ** ((n - 1) * (n - 2)))

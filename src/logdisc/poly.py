@@ -17,8 +17,8 @@ built dict that already satisfies the invariant and skips the check.
 polynomial division using a heap", J. Symbolic Comput. 2011): the
 remainder is one mutable dict, its monomials sit in a heap with lazy
 deletion, and each step cancels the largest one in place.  ``poly_gcd``
-and ``matrix.resultant`` share one subresultant remainder sequence
-(``_subresultant_prs``), which needs no content inside its loop.  The
+runs on a subresultant remainder sequence (``_subresultant_prs``),
+which needs no content inside its loop; nothing else uses one.  The
 determinants in ``matrix`` need no division at all: they expand memoised
 minors over Z[s], with Python int coefficients, and divide by one integer
 at the end.
@@ -456,37 +456,33 @@ def _pseudo_rem(a, b, i):
 
 
 def _subresultant_prs(a, b, i):
-    """Subresultant PRS of a and b in variable index i, deg a >= deg b >= 1
-    (Collins, JACM 1967; Brown and Traub, JACM 1971).
+    """Last nonzero member of the subresultant PRS of a and b in variable
+    index i, deg a >= deg b >= 1 (Collins, JACM 1967; Brown and Traub,
+    JACM 1971). Its primitive part in the variable is the gcd of the
+    primitive parts of a and b.
 
     Each pseudo-remainder is divided exactly by g * h^d, where d is the
     degree drop of the step, g the leading coefficient of the divisor
     before it and h the running subresultant scale, so the members stay
-    subresultants and no content is taken inside the loop. Returns
-    (last, res): last is the last nonzero member, whose primitive part in
-    the variable is the gcd of the primitive parts of a and b; res is
-    Res(a, b) in that variable, zero unless last is free of it.
+    subresultants, their coefficients stay small, and no content is taken
+    inside the loop.
     """
     g = h = Polynomial.const(a.vt, 1)
-    sign = 1
     da = max(m[i] for m in a.terms)
     db = max(m[i] for m in b.terms)
     while True:
-        d = da - db
-        if da % 2 and db % 2:
-            sign = -sign
         r = _pseudo_rem(a, b, i)
         if r.is_zero:
-            return b, Polynomial.zero(a.vt)
+            return b
+        d = da - db
         a, da = b, db
         b = exact_divide(r, g * h ** d)
         db = max(m[i] for m in b.terms)
+        if not db:
+            return b
         g = _coeffs_in(a, i)[da]
         if d:
             h = g if d == 1 else exact_divide(g ** d, h ** (d - 1))
-        if not db:
-            res = b if da == 1 else exact_divide(b ** da, h ** (da - 1))
-            return b, res * sign
 
 
 def _content_wrt(coeffs):
@@ -522,7 +518,7 @@ def poly_gcd(a, b):
     g = exact_divide(b, cb)
     if max(_coeffs_in(f, i)) < max(_coeffs_in(g, i)):
         f, g = g, f
-    last = _subresultant_prs(f, g, i)[0]
+    last = _subresultant_prs(f, g, i)
     if i not in last.variables_used():
         return make_primitive(cont)
     gprim = exact_divide(last, _content_wrt(_coeffs_in(last, i)))

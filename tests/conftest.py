@@ -1,7 +1,8 @@
 import pytest
 
+from logdisc.matrix import PolyMatrix, _univariate
 from logdisc.parse import parse_poly
-from logdisc.poly import VarTable
+from logdisc.poly import Polynomial, VarTable
 from logdisc import hyper
 
 
@@ -17,6 +18,30 @@ def total_degree(p):
     if p.is_zero:
         return -1
     return max(sum(m) for m in p.terms)
+
+
+def sylvester_matrix(p, q, name):
+    """Sylvester matrix of p, q with respect to one variable; its
+    determinant is the resultant."""
+    cp = _univariate(p, name)
+    cq = _univariate(q, name)
+    n, m = len(cp) - 1, len(cq) - 1
+    if n < 1 and m < 1:
+        raise ValueError("both polynomials constant in %s" % name)
+    size = n + m
+    zero = Polynomial.zero(p.vt)
+    rows = []
+    for i in range(m):
+        row = [zero] * size
+        for j, c in enumerate(reversed(cp)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(n):
+        row = [zero] * size
+        for j, c in enumerate(reversed(cq)):
+            row[i + j] = c
+        rows.append(row)
+    return PolyMatrix(p.vt, rows)
 
 
 class Bundle:

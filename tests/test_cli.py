@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -114,6 +116,43 @@ def test_bad_params_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: "), argv
+
+
+def test_repeated_key_refused(tmp_path, capsys):
+    path = tmp_path / "twice.ls"
+    path.write_text('x_vars = [x]\nparams = [u]\nf0 = "x^2"\n'
+                    'f0 = "x^3"\nbasis = ["1"]\n')
+    code, out, err = run(capsys, "tables", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 4: key 'f0' given twice\n"
+
+
+def test_unit_ideal_names_the_empty_quotient(tmp_path, capsys):
+    """An ideal containing a unit has a zero quotient: no singular point."""
+    smooth = tmp_path / "smooth.ls"
+    smooth.write_text('x_vars = [x]\nparams = [u]\nf0 = "x"\n'
+                      'basis = ["1"]\n')
+    fiber = tmp_path / "fiber.ls"
+    fiber.write_text('kind = complete-intersection\nx_vars = [x1, x2]\n'
+                     'params = [u]\nmaps = ["x1 - u", "x2"]\n')
+    for argv in (("count", str(smooth), "--params", "u=1"),
+                 ("ci-tables", str(fiber)),
+                 ("ci-count", str(fiber), "--params", "u=1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: the ideal is the unit ideal: no singular "
+                       "point, the quotient is zero\n"), argv
+
+
+@pytest.mark.parametrize("family", ["a5", "d5"])
+def test_maxwell_finishes_on_mu_5(family):
+    proc = subprocess.run(
+        [sys.executable, "-m", "logdisc.cli", "maxwell",
+         f"perfbench/families/{family}.ls", "--json"],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath("src")),
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["mu"] == 5
 
 
 def test_basis_override(capsys):

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_symmetric
+from conftest import is_symmetric, sylvester_matrix
 from logdisc import hyper
+from logdisc.cli import LoadedSpec, read_input_file
 from logdisc.groebner import coordinates
-from logdisc.matrix import PolyMatrix, discriminant
+from logdisc.matrix import PolyMatrix, det_bareiss, discriminant, mat_mul
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable, exact_divide, make_primitive
 
@@ -148,10 +149,8 @@ def test_discriminant_weierstrass_shape(ex1):
 
 def test_discriminant_matches_elimination_oracle(a2):
     # eliminating x from (F, dF/dx) yields the same vanishing locus
-    vt = a2.vt
-    from logdisc.matrix import resultant
-    F = parse_poly("x^3 + u + b*x", vt)
-    res = resultant(F, F.diff("x"), "x")
+    F = parse_poly("x^3 + u + b*x", a2.vt)
+    res = det_bareiss(sylvester_matrix(F, F.diff("x"), "x"))
     assert same_up_to_sign(make_primitive(res),
                            make_primitive(a2.logm.discriminant))
 
@@ -171,6 +170,33 @@ def test_discriminant_of_discriminant_in_u(ex1):
     assert got == ex1.p(
         "27*(d - c)^2*(d^2 + d*c + c^2)^2"
         "*(256*b^2*d^3 + 768*d^2*c^2 + 96*b^4*d*c - b^8 + 256*c^3*b^2)^3")
+
+
+@pytest.mark.parametrize("path", ["fixtures/example1.ls",
+                                  "perfbench/families/a4.ls",
+                                  "perfbench/families/d4.ls"])
+def test_disc_u_is_the_trace_hankel_determinant(path):
+    """det Sigma = wF^mu det(u Id - M) with M = P + u Id free of u, so its
+    roots in u are the eigenvalues of M, whose power sums are tr M^k:
+    disc_u(det Sigma) = wF^(mu(2mu - 2)) det[tr M^(i+j)]."""
+    loaded = LoadedSpec(read_input_file(path))
+    spec = loaded.spec
+    mu, vt = spec.mu, spec.vt
+    u = Polynomial.var(vt, spec.u)
+    M = [[e + u if i == j else e for j, e in enumerate(row)]
+         for i, row in enumerate(spec.algebra.P.entries)]
+    assert all(e.degree_in(spec.u) <= 0 for row in M for e in row)
+    power = [[Polynomial.const(vt, int(i == j)) for j in range(mu)]
+             for i in range(mu)]
+    traces = []
+    for _ in range(2 * mu - 1):
+        traces.append(sum(power[i][i] for i in range(mu)))
+        power = mat_mul(power, M)
+    hankel = det_bareiss(PolyMatrix(vt, [traces[i:i + mu]
+                                         for i in range(mu)]))
+    wF = hyper.derive_weights(spec.f0).wF
+    assert (discriminant(loaded.logm.discriminant, spec.u)
+            == hankel * wF ** (mu * (2 * mu - 2)))
 
 
 def test_log_rows_are_tangent_to_discriminant(ex1):
@@ -250,7 +276,6 @@ def test_hessian_trace_form(ex1):
 
 
 def test_hessian_trace_form_determinant(ex1):
-    from logdisc.matrix import det_bareiss
     det = det_bareiss(ex1.tf.BH)
     inner = ex1.p("256*b^2*d^3 + 768*d^2*c^2 + 96*b^4*d*c - b^8 "
                   "+ 256*c^3*b^2")
@@ -291,7 +316,6 @@ def test_self_intersection_locus(ex1):
 
 
 def test_bifurcation_is_trace_form_determinant(ex1):
-    from logdisc.matrix import det_bareiss
     bif, _ = hyper.maxwell_bifurcation(ex1.logm, ex1.tables, "u")
     assert same_up_to_sign(make_primitive(bif),
                            make_primitive(det_bareiss(ex1.tf.T)))

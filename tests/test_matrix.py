@@ -4,10 +4,10 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logdisc.matrix import (PolyMatrix, _univariate, det_bareiss,
-                            discriminant, resultant)
+from conftest import sylvester_matrix
+from logdisc.matrix import PolyMatrix, _univariate, det_bareiss, discriminant
 from logdisc.parse import parse_poly
-from logdisc.poly import Polynomial, VarTable, exact_divide, poly_gcd
+from logdisc.poly import Polynomial, VarTable, exact_divide
 
 VT = VarTable(("x",), ("u", "a", "b"))
 
@@ -155,82 +155,42 @@ def test_det_non_square_rejected():
             det_bareiss(PolyMatrix(VT, rows))
 
 
-def sylvester_matrix(p, q, name):
-    """Sylvester matrix of p, q with respect to one variable: the reference
-    of the subresultant resultant."""
-    cp = _univariate(p, name)
-    cq = _univariate(q, name)
-    n, m = len(cp) - 1, len(cq) - 1
-    if n < 1 and m < 1:
-        raise ValueError("both polynomials constant in %s" % name)
-    size = n + m
-    zero = Polynomial.zero(p.vt)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cp)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(cq)):
-            row[i + j] = c
-        rows.append(row)
-    return PolyMatrix(p.vt, rows)
-
-
-def test_resultant_equals_sylvester_det():
-    a = p("x^3 + a*x + u")
-    b = p("3*x^2 + a")
-    syl = det_bareiss(sylvester_matrix(a, b, "x"))
-    assert resultant(a, b, "x") == syl
-    assert syl == p("4*a^3 + 27*u^2")
-
-
-def test_resultant_linear():
-    r = resultant(p("u - a"), p("u - b"), "u")
-    assert r == p("b - a") or r == p("a - b")
-
-
-def test_resultant_vanishes_iff_common_factor():
-    shared = p("x + a")
-    a = shared * p("x + 1")
-    b = shared * p("x - u")
-    assert resultant(a, b, "x").is_zero
-    c = p("x + 1")
-    d = p("x + 2")
-    assert not resultant(c, d, "x").is_zero
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
-       st.integers(-3, 3))
-def test_resultant_matches_sylvester_random(c0, c1, d0, d1):
-    a = p("x^2") + p("x") * c1 + Polynomial.const(VT, c0)
-    b = p("x^3") + p("x") * d1 + Polynomial.const(VT, d0)
-    assert resultant(a, b, "x") == det_bareiss(sylvester_matrix(a, b, "x"))
+def sylvester_discriminant(p, name):
+    """(-1)^(n(n-1)/2) Res(p, p') / lc(p) with the resultant taken as the
+    determinant of the Sylvester matrix: the reference of the Hankel
+    route."""
+    n = p.degree_in(name)
+    res = det_bareiss(sylvester_matrix(p, p.diff(name), name))
+    quo = exact_divide(res, _univariate(p, name)[-1])
+    return -quo if n * (n - 1) // 2 % 2 else quo
 
 
 @st.composite
-def x_polys(draw):
-    """Polynomials of degree at most 4 in x whose coefficients are small
-    polynomials in a and b, often zero: degree gaps and leading
-    coefficients that are not units give abnormal remainder sequences."""
-    terms = {}
-    for e in range(draw(st.integers(1, 4)) + 1):
+def u_polys(draw):
+    """Polynomials of degree 1 to 5 in u whose coefficients are small
+    polynomials in x, a and b, often zero. The leading coefficient is a
+    nonzero integer plus up to two terms in a and b, so it is often not
+    a constant and the division by lc^((n-1)(n-2)) is exercised."""
+    n = draw(st.integers(1, 5))
+    terms = {(0, n, 0, 0): draw(st.sampled_from([-2, -1, 1, 3]))}
+    for e in range(n + 1):
         for _ in range(draw(st.integers(0, 2))):
-            m = (e, 0, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+            m = (draw(st.integers(0, 1)) if e < n else 0, e,
+                 draw(st.integers(0, 1)), draw(st.integers(0, 1)))
             terms[m] = terms.get(m, 0) + draw(st.integers(-3, 3))
     return Polynomial(VT, terms)
 
 
 @settings(max_examples=60, deadline=None)
-@given(x_polys(), x_polys())
-@example(p("x^4 + a*x + 1"), p("a*x^2 + b*x + 1"))
-def test_resultant_matches_sylvester_parametric(a, b):
-    if a.degree_in("x") < 1 or b.degree_in("x") < 1:
+@given(u_polys())
+@example(p("a*u^3 + b*u + 1"))
+@example(p("(a + b)*u^4 - u^2 + a*u"))
+@example(p("a*b*u^5 + x*u^2 - 1"))
+@example(p("(a - 1)*u^2 + b*u + x"))
+def test_discriminant_matches_sylvester(q):
+    if q.degree_in("u") < 1:
         return
-    assert resultant(a, b, "x") == det_bareiss(sylvester_matrix(a, b, "x"))
+    assert discriminant(q, "u") == sylvester_discriminant(q, "u")
 
 
 def test_discriminant_quadratic():
