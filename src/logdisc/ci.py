@@ -119,9 +119,9 @@ class CISpec:
         if not maps:
             raise ValueError("need at least one map")
         vt = maps[0].vt
-        u = self.params[0]
-        if u != vt.s_vars[0]:
+        if not self.params or self.params[0] != vt.s_vars[0]:
             raise ValueError("the first parameter must be the distinguished u")
+        u = self.params[0]
         uc = _u_terms(maps[0], vt, u)
         if uc != -1:
             raise ValueError("the first map must contain u exactly as the "
@@ -317,39 +317,27 @@ def ci_weights(spec):
 
 @dataclass
 class GMCoefficients:
-    """Coefficient matrices B_j of the first-order connection, built from
-    the structure constants and the Euler-field divergence terms."""
+    """Coefficient matrices B_j of the first-order connection, read off the
+    structure constants: B_j[i][l] = (trM0 + sum_p w(x_p) + w(phi_i) +
+    w(phi_j)) * tau^l_{i,j}, trM0 the sum of the map weights."""
 
     trM0: int
-    R: list        # R[j] is the mu x mu matrix R^l_{i,j} indexed [i][l]
-    B: list        # B[j] entry (i, l) = trM0 * tau^l_{i,j} + R^l_{i,j}
+    B: list        # B[j] is indexed [i][l]
 
 
 def gm_coefficients(spec, tables, ws):
     """Connection coefficients in the quasihomogeneous case, with the Euler
-    lifting h_{j,p} = phi_j * w(x_p) * x_p."""
-    vt = spec.vt
+    lifting h_{j,p} = phi_j * w(x_p) * x_p. B_j is trM0 * tau plus the
+    coordinates of the divergence of phi_i * phi_j * E, E the Euler field;
+    for a monomial m that divergence is (sum_p w(x_p) + w(m)) * m."""
     mu = tables.mu
-    phis = tables.phi.polynomials()
-    euler = [ws.x_weights[p] * Polynomial.var(vt, x)
-             for p, x in enumerate(vt.x_vars)]
     trM0 = sum(ws.f_weights)
-    R = []
-    B = []
-    for j in range(mu):
-        rrows = []
-        brows = []
-        for i in range(mu):
-            div = Polynomial.zero(vt)
-            for p, x in enumerate(vt.x_vars):
-                div = div + (phis[i] * phis[j] * euler[p]).diff(x)
-            coords = coordinates(div, tables.gb, tables.phi)
-            rrows.append(coords)
-            brows.append([tables.tau[l][i, j] * trM0 + coords[l]
-                          for l in range(mu)])
-        R.append(PolyMatrix(vt, rrows))
-        B.append(PolyMatrix(vt, brows))
-    return GMCoefficients(trM0, R, B)
+    c = trM0 + sum(ws.x_weights)
+    wt = [ws.monomial_weight(m) for m in tables.phi.monomials]
+    B = [PolyMatrix(spec.vt, [[tables.tau[l][i, j] * (c + wt[i] + wt[j])
+                               for l in range(mu)] for i in range(mu)])
+         for j in range(mu)]
+    return GMCoefficients(trM0, B)
 
 
 def hyper_to_ci(spec_h):

@@ -59,7 +59,7 @@ class DeformationSpec:
             if any(m[nx:]):
                 raise ValueError("basis elements must involve only x-variables")
             hint.append(m[:nx])
-        if any(hint[0]):
+        if not hint or any(hint[0]):
             raise ValueError("the first basis element must be 1")
         F = f0
         for name, b in zip(params, basis_monomials):

@@ -124,7 +124,10 @@ class _Parser:
                 kind3, val3, pos3 = self.next()
                 if kind3 != "num" or "." in val3:
                     raise PolyParseError("denominator must be an integer", pos3)
-                c = c / int(val3)
+                den = int(val3)
+                if not den:
+                    raise PolyParseError("division by zero", pos3)
+                c = c / den
             return Polynomial.const(self.vt, c)
         if kind == "name":
             try:

@@ -485,34 +485,26 @@ def _subresultant_prs(a, b, i):
             h = g if d == 1 else exact_divide(g ** d, h ** (d - 1))
 
 
-def _content_wrt(coeffs):
-    g = None
-    for poly in coeffs.values():
-        g = poly if g is None else poly_gcd(g, poly)
-        if g.is_constant and not g.is_zero:
-            break
-    return g
-
-
 def poly_gcd(a, b):
-    """Primitive gcd, positive leading coefficient: contents in the main
-    variable by recursion, primitive parts by the subresultant PRS."""
+    """Primitive gcd, positive leading coefficient: 1 when either operand is
+    a nonzero constant, contents in the main variable by recursion,
+    primitive parts by the subresultant PRS."""
     if a.is_zero:
         return make_primitive(b)
     if b.is_zero:
         return make_primitive(a)
-    used = a.variables_used() | b.variables_used()
-    if not used:
+    if a.is_constant or b.is_constant:
         return Polynomial.const(a.vt, 1)
-    i = max(used)
-    if i not in a.variables_used() or i not in b.variables_used():
+    used_a = a.variables_used()
+    used_b = b.variables_used()
+    i = max(used_a | used_b)
+    if i not in used_a or i not in used_b:
         # one operand is free of the main variable: gcd divides its content
-        if i in a.variables_used():
+        if i in used_a:
             a, b = b, a
-        cb = _content_wrt(_coeffs_in(b, i))
-        return poly_gcd(a, cb)
-    ca = _content_wrt(_coeffs_in(a, i))
-    cb = _content_wrt(_coeffs_in(b, i))
+        return poly_gcd(a, poly_gcd_list(_coeffs_in(b, i).values()))
+    ca = poly_gcd_list(_coeffs_in(a, i).values())
+    cb = poly_gcd_list(_coeffs_in(b, i).values())
     cont = poly_gcd(ca, cb)
     f = exact_divide(a, ca)
     g = exact_divide(b, cb)
@@ -521,16 +513,20 @@ def poly_gcd(a, b):
     last = _subresultant_prs(f, g, i)
     if i not in last.variables_used():
         return make_primitive(cont)
-    gprim = exact_divide(last, _content_wrt(_coeffs_in(last, i)))
+    gprim = exact_divide(last, poly_gcd_list(_coeffs_in(last, i).values()))
     return make_primitive(cont * gprim)
 
 
 def poly_gcd_list(polys):
+    """A gcd of the nonzero polys, up to a rational factor; None if there
+    are none. It stops at the first constant gcd."""
     g = None
     for p in polys:
         if p.is_zero:
             continue
         g = p if g is None else poly_gcd(g, p)
+        if g.is_constant:
+            break
     return g
 
 

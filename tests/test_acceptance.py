@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import is_symmetric
+from test_ci import k2_spec
 from logdisc import ci, hyper
 from logdisc.groebner import reduce_poly, remainder_coordinates
 from logdisc.inertia import (DegeneratePointError, SymMatrixQ, critical_count,
@@ -14,7 +15,7 @@ from logdisc.inertia import (DegeneratePointError, SymMatrixQ, critical_count,
 from logdisc.matrix import PolyMatrix, det_bareiss, discriminant
 from logdisc.oracle import find_critical_points, grid_euler
 from logdisc.parse import parse_poly
-from logdisc.poly import VarTable, exact_divide, make_primitive
+from logdisc.poly import Polynomial, VarTable, exact_divide, make_primitive
 
 
 def mat(bundle, rows):
@@ -277,31 +278,36 @@ def test_criterion_10_symmetry_suite(ex1, e6):
             assert (s_h + s_hf) % 2 == 0
 
 
-def test_criterion_11_connection_coefficients(ex1, a2):
-    for b in (ex1, a2):
-        spec = ci.hyper_to_ci(b.spec)
-        mi = ci.minor_ideal(spec)
-        tables = ci.ci_tables(spec, mi, basis_hint=b.spec.basis.monomials)
-        ws = ci.ci_weights(spec)
-        gm = ci.gm_coefficients(spec, tables, ws)
-        assert gm.trM0 == sum(ws.f_weights)
-        phis = tables.phi.polynomials()
-        mu = tables.mu
-        vt = spec.vt
-        euler = [w * b.p(x) for w, x in zip(ws.x_weights, vt.x_vars)]
-        for j in range(mu):
-            for i in range(mu):
-                div = b.p("0")
-                for p, x in enumerate(vt.x_vars):
-                    div = div + (phis[i] * phis[j] * euler[p]).diff(x)
-                # independent certificate-based reduction of the divergence
-                cert = reduce_poly(div, tables.gb)
-                recon = cert.remainder
-                for cof, g in zip(cert.cofactors, tables.gb.elements):
-                    recon = recon + cof * g
-                assert recon == cert.scale * div
-                coords = remainder_coordinates(cert, tables.phi)
-                for l in range(mu):
-                    assert gm.R[j][i, l] == coords[l]
-                    assert gm.B[j][i, l] == \
-                        tables.tau[l][i, j] * gm.trM0 + coords[l]
+@pytest.mark.parametrize("family", ["ex1", "a2", "e6", "k2"])
+def test_criterion_11_connection_coefficients(request, family):
+    # gm reads B_j off tau; reducing the Euler-field divergence with a
+    # checked certificate is the independent witness
+    if family == "k2":
+        spec, hint = k2_spec(), None
+    else:
+        b = request.getfixturevalue(family)
+        spec, hint = ci.hyper_to_ci(b.spec), b.spec.basis.monomials
+    mi = ci.minor_ideal(spec)
+    tables = ci.ci_tables(spec, mi, basis_hint=hint)
+    ws = ci.ci_weights(spec)
+    gm = ci.gm_coefficients(spec, tables, ws)
+    assert gm.trM0 == sum(ws.f_weights)
+    phis = tables.phi.polynomials()
+    mu = tables.mu
+    vt = spec.vt
+    euler = [w * Polynomial.var(vt, x)
+             for w, x in zip(ws.x_weights, vt.x_vars)]
+    for j in range(mu):
+        for i in range(mu):
+            div = Polynomial.zero(vt)
+            for p, x in enumerate(vt.x_vars):
+                div = div + (phis[i] * phis[j] * euler[p]).diff(x)
+            cert = reduce_poly(div, tables.gb)
+            recon = cert.remainder
+            for cof, g in zip(cert.cofactors, tables.gb.elements):
+                recon = recon + cof * g
+            assert recon == cert.scale * div
+            coords = remainder_coordinates(cert, tables.phi)
+            for l in range(mu):
+                assert gm.B[j][i, l] == \
+                    tables.tau[l][i, j] * gm.trM0 + coords[l]

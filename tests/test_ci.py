@@ -197,16 +197,17 @@ def test_connection_coefficients_cusp(a2):
 
 
 def test_connection_coefficients_divergence_identity(ex1):
-    # row i of R[j] lists the quotient coordinates of the divergence of
-    # phi_i*phi_j times the Euler field; column 0 against phi_0 = 1 recovers
-    # trM0 + weight(phi_i*phi_j) whenever the product is a standard monomial
+    # row i of B[j] lists trM0 * tau plus the quotient coordinates of the
+    # divergence of phi_i*phi_j times the Euler field; column 0 against
+    # phi_0 = 1 recovers trM0 + sum w(x_p) + weight(phi_i*phi_j) whenever
+    # the product is a standard monomial
     spec = ci.hyper_to_ci(ex1.spec)
     mi, tables = pipeline(spec, hint=ex1.spec.basis.monomials)
     ws = ci.ci_weights(spec)
     gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3
-    # phi_0 * phi_0 = 1: divergence of the Euler field is nx = 2
-    assert gm.R[0][0, 0] == ex1.p("2")
+    # phi_0 * phi_0 = 1: divergence of the Euler field is w(x1) + w(x2) = 2
+    assert gm.B[0][0, 0] == ex1.p("5")
     # B matrices are u-independent
     for Bj in gm.B:
         for i in range(4):

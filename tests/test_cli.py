@@ -144,6 +144,24 @@ def test_unit_ideal_names_the_empty_quotient(tmp_path, capsys):
                        "point, the quotient is zero\n"), argv
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("tables", 'x_vars = [x]\nparams = [u, b]\nf0 = "x^3 + 1/0*x"\n'
+     'basis = ["1", "x"]\n', "division by zero (at position 8)"),
+    ("tables", 'x_vars = [x]\nparams = []\nf0 = "x^3"\nbasis = []\n',
+     "the first basis element must be 1"),
+    ("ci-tables", 'kind = complete-intersection\nx_vars = [x1, x2]\n'
+     'params = []\nmaps = ["x1^2 + x2^2", "x1*x2"]\n',
+     "the first parameter must be the distinguished u"),
+], ids=["zero-denominator", "empty-params", "empty-params-ci"])
+def test_malformed_input_is_one_error_line(tmp_path, capsys, command, text,
+                                           message):
+    path = tmp_path / "bad.ls"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("family", ["a5", "d5"])
 def test_maxwell_finishes_on_mu_5(family):
     proc = subprocess.run(

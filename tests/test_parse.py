@@ -56,6 +56,13 @@ def test_syntax_error_position():
         parse_poly("x1 $ x2", VT)
 
 
+def test_zero_denominator():
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("x1^3 + 1/0*x1", VT)
+    assert "division by zero" in str(exc.value)
+    assert exc.value.pos == 9
+
+
 coeffs = st.integers(-6, 6)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import total_degree
+from logdisc import poly as poly_mod
 from logdisc.hyper import DeformationSpec
 from logdisc.matrix import det_bareiss
 from logdisc.parse import parse_poly
@@ -133,6 +134,25 @@ def test_canonical_str_descending_degrevlex():
 def test_gcd_basic():
     g = poly_gcd(p("x^2 - 1"), p("x^2 - 2*x + 1"))
     assert g == p("x - 1")
+    # a gcd with a nonzero constant is 1, in either order
+    for const, other in [("3", "x^2*y + a*y"), ("-2/3", "b"), ("5", "7"),
+                         ("1", "0")]:
+        assert poly_gcd(p(const), p(other)) == p("1")
+        assert poly_gcd(p(other), p(const)) == p("1")
+
+
+def test_gcd_with_a_constant_does_not_recurse(monkeypatch):
+    calls = []
+    inner = poly_mod.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(poly_mod, "poly_gcd", counting)
+    assert poly_mod.poly_gcd(p("3"), p("x^2*y + a*y")) == p("1")
+    assert poly_mod.poly_gcd(p("x*a + b^2"), p("-1/2")) == p("1")
+    assert len(calls) == 2
 
 
 def test_exact_divide():
