@@ -5,12 +5,12 @@ from .poly import Polynomial, VarTable
 from .parse import parse_poly, PolyParseError
 from .matrix import PolyMatrix, det_bareiss, discriminant
 from .groebner import (ParamIdeal, GroebnerBasis, QuotientBasis,
-                       ReductionCertificate, buchberger, normal_form,
+                       ReductionCertificate, buchberger, reduce_poly,
                        standard_basis, coordinates, NonConstantScaleError,
                        InfiniteQuotientError)
 from .ci import (CISpec, MinorIdeal, CITables, GMCoefficients, minor_ideal,
-                 ci_tables, discriminant_and_bifurcation, gm_coefficients,
-                 ci_weights, hyper_to_ci, NotQuasihomogeneousError)
+                 ci_tables, gm_coefficients, ci_weights, hyper_to_ci,
+                 NotQuasihomogeneousError)
 from .hyper import (DeformationSpec, WeightSystem, LogMatrix, TraceForms,
                     derive_weights, mul_tables, log_matrix, trace_forms,
                     maxwell_bifurcation)

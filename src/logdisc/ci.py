@@ -290,11 +290,6 @@ def ci_tables(spec, mi, basis_hint=None):
     return CITables(qb, gb, tau, zeta, spec.maps[0])
 
 
-def discriminant_and_bifurcation(tables):
-    """Exact determinants of P (discriminant) and T (bifurcation)."""
-    return det_bareiss(tables.P), det_bareiss(tables.T)
-
-
 def ci_weights(spec):
     """Smallest positive integer x-weights making the parameter-free part of
     every map quasihomogeneous; per-map weights follow."""

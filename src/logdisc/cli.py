@@ -15,7 +15,7 @@ from . import hyper as hy
 from .groebner import NonConstantScaleError, InfiniteQuotientError
 from .inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                       euler_characteristics, inertia)
-from .matrix import det_bareiss, mat_mul
+from .matrix import det_bareiss, mat_vec
 from .oracle import find_critical_points, grid_euler
 from .parse import PolyParseError, parse_poly
 from .poly import VarTable
@@ -168,19 +168,20 @@ def _triple(tri):
 
 
 def _at_point(algebra, args, sign):
-    """The --params point, and tau, T and sign * P there; a hypersurface
-    takes -P, a positive multiple of Sigma. The algebra and the coordinates
-    of the first map are built before the point is read."""
+    """The --params point, and tau, T and sign * c there, c the first map's
+    coordinates (a hypersurface takes -c, F's). The algebra and c are built
+    before the point is read."""
     algebra.first_map_coords
     point = parse_param_point(args.params or "", algebra.phi.vt)
-    tau, T, P = hy.forms_at(algebra, point)
-    return point, tau, T, [[sign * e for e in row] for row in P]
+    tau, T, c = hy.forms_at(algebra, point)
+    return point, tau, T, [sign * e for e in c]
 
 
-def _euler_at(loaded, tau, T, form, point):
-    """B^H, -P B^H and the Euler characteristics at one point."""
+def _euler_at(loaded, tau, T, f, point):
+    """B^H, the trace form of F h and the Euler characteristics at one
+    point; f holds F's coordinates there."""
     bh, bhf = map(SymMatrixQ,
-                  hy.hessian_forms_at(loaded.spec, tau, T, form, point))
+                  hy.hessian_forms_at(loaded.spec, tau, T, f, point))
     return bh, bhf, euler_characteristics(bh, bhf, loaded.vt.nx)
 
 
@@ -219,7 +220,7 @@ def logfields(loaded, args):
 
 def maxwell(loaded, args):
     spec = loaded.spec
-    bif, mx = hy.maxwell_bifurcation(loaded.logm, spec.algebra, spec.u)
+    bif, mx = hy.maxwell_bifurcation(spec.algebra, spec.u)
     return {"mu": spec.mu, "detT": str(bif), "maxwell": str(mx)}
 
 
@@ -231,8 +232,8 @@ def traceforms(loaded, args):
 
 
 def euler(loaded, args):
-    point, tau, T, form = _at_point(loaded.spec.algebra, args, -1)
-    bh, bhf, rep = _euler_at(loaded, tau, T, form, point)
+    point, tau, T, f = _at_point(loaded.spec.algebra, args, -1)
+    bh, bhf, rep = _euler_at(loaded, tau, T, f, point)
     return {"mu": loaded.spec.mu,
             "inertia": {"BH": _triple(inertia(bh)),
                         "BHF": _triple(inertia(bhf))},
@@ -242,12 +243,12 @@ def euler(loaded, args):
 
 
 def count(loaded, args):
-    """`count` (hypersurfaces) takes the signature of -P T, `ci-count`
-    that of P T."""
+    """`count` (hypersurfaces) takes the signature of the trace form of F,
+    `ci-count` that of the first map F_1 - u."""
     sign = -1 if args.command == "count" else 1
-    _, _, T, form = _at_point((loaded.spec if sign < 0 else loaded).algebra,
-                              args, sign)
-    st = SymMatrixQ(mat_mul(form, T))
+    _, tau, T, g = _at_point((loaded.spec if sign < 0 else loaded).algebra,
+                             args, sign)
+    st = SymMatrixQ(ci_mod.tau_form(tau, mat_vec(T, g)))
     signed = critical_count(st)
     return {"mu": loaded.algebra.mu, "inertia": _triple(inertia(st)),
             "count": signed}
@@ -255,8 +256,8 @@ def count(loaded, args):
 
 def ci_discriminant(loaded, args):
     algebra = loaded.algebra
-    detP, detT = ci_mod.discriminant_and_bifurcation(algebra)
-    return {"mu": algebra.mu, "detP": str(detP), "detT": str(detT)}
+    return {"mu": algebra.mu, "detP": str(det_bareiss(algebra.P)),
+            "detT": str(det_bareiss(algebra.T))}
 
 
 def gm(loaded, args):
@@ -271,18 +272,18 @@ def gm(loaded, args):
 
 
 def oracle_check(loaded, args):
-    """The finder runs on F for a hypersurface (with -P, and the grid in
-    at most two variables), on the maps for a complete intersection (P)."""
+    """The finder runs on F for a hypersurface (and the grid in at most two
+    variables), on the maps for a complete intersection."""
     hyper = loaded.kind == "hypersurface"
-    point, tau, T, form = _at_point(loaded.algebra, args, -1 if hyper else 1)
-    exact = critical_count(SymMatrixQ(mat_mul(form, T)))
+    point, tau, T, f = _at_point(loaded.algebra, args, -1 if hyper else 1)
+    exact = critical_count(SymMatrixQ(ci_mod.tau_form(tau, mat_vec(T, f))))
     maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
     rep = find_critical_points(maps[0], point, loaded.algebra.mu,
                                ball_radius=args.ball, constraints=maps[1:])
     oc = {"count": len(rep.points), "signed": rep.signed_count,
           "exact_signature": exact, "agree": rep.signed_count == exact}
     if hyper and loaded.vt.nx <= 2:
-        chi = _euler_at(loaded, tau, T, form, point)[2]
+        chi = _euler_at(loaded, tau, T, f, point)[2]
         g = grid_euler(maps[0], point, ball_radius=args.ball,
                        resolution=args.resolution)
         oc["grid"] = {"resolution": g.resolution, "stable": g.stable,

@@ -157,7 +157,8 @@ class QuotientBasis:
 
 
 def reduce_poly(p, gb):
-    """Extended pseudo-reduction of p by a (Groebner) basis."""
+    """Extended pseudo-reduction of p by a (Groebner) basis; by a Groebner
+    basis the remainder is p's normal form, on standard monomials only."""
     vt = p.vt
     one = Polynomial.const(vt, 1)
     scale = one
@@ -194,11 +195,6 @@ def reduce_poly(p, gb):
             cof = [lead * ci for ci in cof]
             cof[gi] = cof[gi] + c * mono
     return ReductionCertificate(r, cof, scale)
-
-
-def normal_form(p, gb):
-    """Reduce p to its unique remainder supported on standard monomials."""
-    return reduce_poly(p, gb)
 
 
 def _s_poly(f, lm_f, lc_f, g, lm_g, lc_g):
@@ -340,4 +336,4 @@ def remainder_coordinates(cert, qb):
 
 def coordinates(p, gb, qb):
     """Normal-form coordinates of p in the quotient basis."""
-    return remainder_coordinates(normal_form(p, gb), qb)
+    return remainder_coordinates(reduce_poly(p, gb), qb)

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ci import (CISpec, NotQuasihomogeneousError, WeightSystem, ci_tables,
-                 minor_ideal, multiplication_rows, tau_form, traces,
-                 weight_system)
+                 minor_ideal, tau_form, traces, weight_system)
 from .groebner import coordinates
-from .matrix import PolyMatrix, det_bareiss, discriminant, mat_mul, mat_vec
+from .matrix import PolyMatrix, det_bareiss, discriminant, mat_vec
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
 
 
@@ -100,14 +99,12 @@ def mul_tables(spec):
 class LogMatrix:
     """Rows of sigma are logarithmic vector fields of the discriminant.
 
-    sigma is the weighted closed form and sigma0 = -P the normal-form
-    matrix of multiplication by F; sigma = wF * sigma0. The discriminant
-    det(sigma) is computed on first access and cached: only the
-    discriminant, logfields and maxwell commands read it.
+    sigma = -wF * P, P the matrix of multiplication by the first map -F.
+    The discriminant det(sigma) is computed on first access and cached:
+    only the discriminant and logfields commands read it.
     """
 
     sigma: PolyMatrix
-    sigma0: PolyMatrix
 
     @cached_property
     def discriminant(self):
@@ -115,23 +112,22 @@ class LogMatrix:
 
 
 def log_matrix(spec, ws, tables):
-    """Logarithmic matrix by the weight formula, checked against the
-    normal-form matrix sigma0 = -P."""
-    sigma0 = tables.P.scale(-1)
+    """Logarithmic matrix sigma = -wF * P, once the Euler relation
+    wF * F = sum_l w(s_l) * s_l * e_l is checked on the quotient's
+    coordinates. multiplication_rows is linear in its vector and its row 0
+    is that vector (e_0 = 1), so this is the matrix identity sigma =
+    multiplication_rows(tau, [w(s_l) * s_l])."""
     euler = [w * Polynomial.var(spec.vt, name)
              for w, name in zip(ws.s_weights, spec.params)]
-    sigma = PolyMatrix(spec.vt, multiplication_rows(
-        [t.entries for t in tables.tau], euler))
-    if sigma != sigma0.scale(ws.wF):
+    if euler != [c * -ws.wF for c in tables.first_map_coords]:
         raise AssertionError("weighted logarithmic matrix disagrees with the "
                              "normal-form matrix")
-    return LogMatrix(sigma, sigma0)
+    return LogMatrix(tables.P.scale(-ws.wF))
 
 
 @dataclass
 class TraceForms:
     T: PolyMatrix
-    BF: PolyMatrix
     BH: PolyMatrix
     BHF: PolyMatrix
 
@@ -146,44 +142,51 @@ def hessian_determinant(spec):
 
 
 def trace_forms(spec, tables, logm):
-    """Trace (Bezoutian) forms built from the structure constants."""
+    """Trace forms tr(g * e_i * e_j) = sum_l (T g)_l * tau^l_ij of the
+    elements g with coordinates 1 (T), h (B^H, h the Hessian determinant)
+    and sigma^T h (B^HF: the coordinates of wF * F * h)."""
+    tau = [t.entries for t in tables.tau]
     T = tables.T
     hvec = coordinates(hessian_determinant(spec), spec.gb, spec.basis)
-    BH = PolyMatrix(spec.vt, tau_form([t.entries for t in tables.tau],
-                                      mat_vec(T.entries, hvec)))
-    return TraceForms(T, logm.sigma * T, BH, logm.sigma * BH)
+    fh = mat_vec(list(zip(*logm.sigma.entries)), hvec)
+    BH, BHF = (PolyMatrix(spec.vt, tau_form(tau, mat_vec(T.entries, g)))
+               for g in (hvec, fh))
+    return TraceForms(T, BH, BHF)
 
 
 def forms_at(tables, point):
-    """tau, T and P at one parameter point, as row lists of rationals, from
-    tau and the first map's coordinates evaluated there. Evaluation is a
-    ring homomorphism, so each equals the evaluated parametric form. For a
-    hypersurface -P is a positive multiple of Sigma = -wF * P."""
+    """tau, T and the first map's coordinates c at one parameter point, as
+    rationals. Evaluation is a ring homomorphism, so T is the evaluated
+    parametric T; the trace form of g there is tau_form(tau, mat_vec(T, g)).
+    For a hypersurface, -c are F's coordinates."""
     at = tables.phi.vt.resolve(point)
     tau = [t.values(point) for t in tables.tau]
     coords = [c.value_at(at) for c in tables.first_map_coords]
-    return tau, tau_form(tau, traces(tau)), multiplication_rows(tau, coords)
+    return tau, tau_form(tau, traces(tau)), coords
 
 
-def hessian_forms_at(spec, tau, T, form, point):
-    """B^H and form * B^H at one parameter point from the rationals of
-    forms_at, form being -P (or Sigma) there. The Hessian is specialised
-    before its determinant is taken."""
+def hessian_forms_at(spec, tau, T, f, point):
+    """B^H and the trace form of F h at one parameter point from the
+    rationals of forms_at, f being F's coordinates there (-c). The Hessian
+    is specialised before its determinant is taken."""
     h = det_bareiss(_hessian(spec.F.evaluate(point)))
     at = spec.vt.resolve(point)
     hvec = [c.value_at(at) for c in coordinates(h, spec.gb, spec.basis)]
-    BH = tau_form(tau, mat_vec(T, hvec))
-    return BH, mat_mul(form, BH)
+    # (f h)_l = sum_ij f_i h_j tau^l_ij
+    fh = [sum(x * y for x, y in zip(f, mat_vec(t, hvec))) for t in tau]
+    return tuple(tau_form(tau, mat_vec(T, g)) for g in (hvec, fh))
 
 
-def maxwell_bifurcation(logm, tables, uname):
+def maxwell_bifurcation(tables, uname):
     """Bifurcation determinant and the Maxwell-set candidate factor.
 
-    The Maxwell candidate is the u-discriminant of the discriminant with the
-    maximal exact power of the squarefree core of det T divided out.
+    The Maxwell candidate is the u-discriminant of det P with the maximal
+    exact power of the squarefree core of det T divided out. It needs no
+    weights: det Sigma = (-wF)^mu * det P, disc_u(c * p) = c^(2 mu - 2) *
+    disc_u(p), and make_primitive removes the constant.
     """
     bifurcation = det_bareiss(tables.T)
-    disc = discriminant(logm.discriminant, uname)
+    disc = discriminant(det_bareiss(tables.P), uname)
     if bifurcation.is_constant:
         return bifurcation, disc
     core = squarefree_core(bifurcation)

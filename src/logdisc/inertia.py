@@ -123,7 +123,8 @@ def euler_characteristics(bh, bhf, n):
     ball containing all real critical points.
 
     Absolute values are fixed by additivity over the ball:
-    chi_ge + chi_le - chi_eq = 1.
+    chi_ge + chi_le - chi_eq = 1. That closure holds by construction, so
+    checking it is an identity, not evidence.
     """
     ti_h = inertia(bh)
     ti_hf = inertia(bhf)

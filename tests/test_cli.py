@@ -77,6 +77,8 @@ def test_count_and_euler(capsys):
     assert code == 0
     doc = json.loads(out)
     chi = doc["chi"]
+    # an identity, not evidence: euler_characteristics derives all three
+    # values so that the additivity closure holds
     assert chi["ge"] + chi["le"] - chi["eq"] == 1
 
 
@@ -274,6 +276,10 @@ def test_bifurcation_needs_no_weights(tmp_path, capsys):
     code, ci_out, _ = run(capsys, "ci-discriminant", str(path), "--json")
     assert code == 0
     assert json.loads(out)["detT"] == json.loads(ci_out)["detT"]
+    # maxwell reads det P, whose u-discriminant needs no weights
+    code, out, _ = run(capsys, "maxwell", str(path))
+    assert code == 0
+    assert out.splitlines()[1].startswith("maxwell candidate = ")
     for command in ("logfields", "traceforms"):
         code, _, err = run(capsys, command, str(path))
         assert code == 1
@@ -480,6 +486,9 @@ def test_readme_library_example(capsys):
     assert lines[1] == str(rep)
     assert (rep.chi_ge, rep.chi_le, rep.chi_eq) == (chi["ge"], chi["le"],
                                                    chi["eq"])
+    code, out, _ = run(capsys, "maxwell", f"{FIX}/example1.ls")
+    assert code == 0
+    assert "maxwell candidate = " + lines[2] == out.splitlines()[1]
 
 
 def test_readme_cli_examples():

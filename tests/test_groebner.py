@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from logdisc.groebner import (InfiniteQuotientError, NonConstantScaleError,
                               ParamIdeal, buchberger, coordinates,
-                              normal_form, reduce_poly, standard_basis)
+                              reduce_poly, standard_basis)
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable
 
@@ -49,7 +49,7 @@ def test_e6_mu_is_six():
 
 def test_normal_form_x2_squared():
     gb = jac1()
-    cert = normal_form(parse_poly("x2^2", VT1), gb)
+    cert = reduce_poly(parse_poly("x2^2", VT1), gb)
     assert cert.scale.is_constant
     assert cert.remainder * (1 / cert.scale.constant_value()) == \
         parse_poly("-1/3*d - 1/3*b*x1", VT1)
@@ -91,7 +91,7 @@ E6_REDUCTIONS = [
                          ids=[m for m, _ in E6_REDUCTIONS])
 def test_e6_normal_forms(mono, expected):
     gb = jac6()
-    cert = normal_form(parse_poly(mono, VT6), gb)
+    cert = reduce_poly(parse_poly(mono, VT6), gb)
     cert.require_constant_scale()
     got = cert.remainder * (1 / cert.scale.constant_value())
     assert got == parse_poly(expected, VT6)
@@ -99,7 +99,7 @@ def test_e6_normal_forms(mono, expected):
 
 def test_normal_form_of_one_is_trivial():
     gb = jac1()
-    cert = normal_form(parse_poly("1", VT1), gb)
+    cert = reduce_poly(parse_poly("1", VT1), gb)
     assert cert.remainder == parse_poly("1", VT1)
     assert all(c.is_zero for c in cert.cofactors)
     assert cert.scale == parse_poly("1", VT1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import is_symmetric, sylvester_matrix
-from logdisc import hyper
+from logdisc import ci, hyper
 from logdisc.cli import LoadedSpec, read_input_file
 from logdisc.groebner import coordinates
 from logdisc.matrix import PolyMatrix, det_bareiss, discriminant, mat_mul
@@ -116,8 +116,26 @@ def test_traces_of_basis_elements(ex1):
 # logarithmic matrix
 
 
+def weighted_log_matrix(b):
+    """The weighted closed form: multiplication by sum_l w(s_l) * s_l,
+    built from tau apart from log_matrix's Euler-relation check."""
+    euler = [w * b.p(name) for w, name in zip(b.ws.s_weights, b.spec.params)]
+    return PolyMatrix(b.vt, ci.multiplication_rows(
+        [t.entries for t in b.tables.tau], euler))
+
+
 def test_log_matrix_weighted_agrees_with_normal_form(ex1):
-    assert ex1.logm.sigma == ex1.logm.sigma0.scale(3)
+    assert ex1.logm.sigma == weighted_log_matrix(ex1)
+    assert ex1.logm.sigma == ex1.tables.P.scale(-3)
+
+
+def test_log_matrix_refuses_a_wrong_weight(ex1):
+    s_weights = list(ex1.ws.s_weights)
+    s_weights[2] += 1
+    wrong = hyper.WeightSystem(ex1.ws.x_weights, ex1.ws.f_weights,
+                               tuple(s_weights))
+    with pytest.raises(AssertionError, match="disagrees"):
+        hyper.log_matrix(ex1.spec, wrong, ex1.tables)
 
 
 def test_log_matrix_entries(ex1):
@@ -223,6 +241,7 @@ def test_euler_identity(ex1):
 
 def test_trace_form_entries_via_multiplication_traces(ex1):
     tf = ex1.tf
+    BF = ex1.logm.sigma * tf.T
     es = basis_polys(ex1.spec)
     h = hyper.hessian_determinant(ex1.spec)
     F = ex1.spec.F
@@ -235,7 +254,7 @@ def test_trace_form_entries_via_multiplication_traces(ex1):
             assert tf.BH[i, j] == \
                 trace_of_multiplication(h * eij, ex1.spec)
             # the weighted log matrix carries a factor wF into the F-forms
-            assert tf.BF[i, j] == \
+            assert BF[i, j] == \
                 trace_of_multiplication(F * eij, ex1.spec) * wF
             assert tf.BHF[i, j] == \
                 trace_of_multiplication(F * h * eij, ex1.spec) * wF
@@ -243,24 +262,24 @@ def test_trace_form_entries_via_multiplication_traces(ex1):
 
 def test_trace_forms_symmetric(ex1, e6):
     for b in (ex1, e6):
-        for m in (b.tf.T, b.tf.BF, b.tf.BH, b.tf.BHF):
+        for m in (b.tf.T, b.logm.sigma * b.tf.T, b.tf.BH, b.tf.BHF):
             assert is_symmetric(m)
 
 
 def test_trace_forms_u_independent_except_F_weighted(ex1):
     tf = ex1.tf
+    BF = ex1.logm.sigma * tf.T
     mu = ex1.spec.mu
     for i in range(mu):
         for j in range(mu):
             assert tf.T[i, j].degree_in("u") <= 0
             assert tf.BH[i, j].degree_in("u") <= 0
-            assert tf.BF[i, j].degree_in("u") <= 1
+            assert BF[i, j].degree_in("u") <= 1
             assert tf.BHF[i, j].degree_in("u") <= 1
 
 
 def test_trace_forms_factor_through_log_matrix(ex1):
     tf = ex1.tf
-    assert tf.BF == ex1.logm.sigma * tf.T
     assert tf.BHF == ex1.logm.sigma * tf.BH
 
 
@@ -308,7 +327,7 @@ def test_mixed_trace_form(ex1):
 
 
 def test_self_intersection_locus(ex1):
-    bif, candidate = hyper.maxwell_bifurcation(ex1.logm, ex1.tables, "u")
+    bif, candidate = hyper.maxwell_bifurcation(ex1.tables, "u")
     target = ex1.p("(d - c)^2 * (d^2 + d*c + c^2)^2")
     assert same_up_to_sign(candidate, target)
     assert exact_divide(discriminant(ex1.logm.discriminant, "u"),
@@ -316,7 +335,7 @@ def test_self_intersection_locus(ex1):
 
 
 def test_bifurcation_is_trace_form_determinant(ex1):
-    bif, _ = hyper.maxwell_bifurcation(ex1.logm, ex1.tables, "u")
+    bif, _ = hyper.maxwell_bifurcation(ex1.tables, "u")
     assert same_up_to_sign(make_primitive(bif),
                            make_primitive(det_bareiss(ex1.tf.T)))
 
@@ -402,6 +421,7 @@ def test_deep_trace_matrix_definition(e6):
 
 
 def test_weighted_log_matrix_deep(e6):
-    assert e6.logm.sigma == e6.logm.sigma0.scale(12)
+    assert e6.logm.sigma == weighted_log_matrix(e6)
+    assert e6.logm.sigma == e6.tables.P.scale(-12)
     assert e6.logm.sigma[0, 0] == e6.p("12*u")
     assert e6.logm.sigma[0, 5] == e6.p("2*g")

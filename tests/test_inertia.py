@@ -142,6 +142,9 @@ def test_euler_characteristics_additive_closure(a1):
         bh = SymMatrixQ.from_poly_matrix(a1.tf.BH, {"u": u})
         bhf = SymMatrixQ.from_poly_matrix(a1.tf.BHF, {"u": u})
         rep = euler_characteristics(bh, bhf, 1)
+        # an identity, not evidence: euler_characteristics derives all
+        # three values so that the additivity closure holds (the grid
+        # oracle counts the three regions separately)
         assert rep.chi_ge + rep.chi_le - rep.chi_eq == 1
 
 

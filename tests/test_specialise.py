@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from logdisc import ci, cli, hyper, matrix
 from logdisc.inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                              euler_characteristics, inertia)
-from logdisc.matrix import mat_mul
+from logdisc.matrix import mat_mul, mat_vec
 from logdisc.parse import parse_poly
 from logdisc.poly import VarTable
 
@@ -47,17 +47,26 @@ def triple(m):
     return {"n_plus": t.n_plus, "n_minus": t.n_minus, "n_zero": t.n_zero}
 
 
+def scaled(rows, k):
+    return SymMatrixQ([[k * e for e in row] for row in rows])
+
+
 def check_hypersurface(b, path, point):
-    tau, T, P = hyper.forms_at(b.tables, point)
-    sigma = [[-b.ws.wF * e for e in row] for row in P]
-    st_ = SymMatrixQ(mat_mul(sigma, T))
-    bh, bhf = map(SymMatrixQ,
-                  hyper.hessian_forms_at(b.spec, tau, T, sigma, point))
+    tau, T, c = hyper.forms_at(b.tables, point)
+    f = [-e for e in c]
+    form = ci.tau_form(tau, mat_vec(T, f))
+    bh, bhf = hyper.hessian_forms_at(b.spec, tau, T, f, point)
+    # -P, evaluated from the parametric P, is multiplication by F there
+    minus_P = [[-e for e in row] for row in b.tables.P.values(point)]
+    assert form == mat_mul(minus_P, T)
+    assert bhf == mat_mul(minus_P, bh)
     st0 = SymMatrixQ.from_poly_matrix(
         b.logm.sigma * b.tables.T, point)
     bh0 = SymMatrixQ.from_poly_matrix(b.tf.BH, point)
     bhf0 = SymMatrixQ.from_poly_matrix(b.tf.BHF, point)
-    assert (st_, bh, bhf) == (st0, bh0, bhf0)
+    # Sigma = -wF * P carries the factor wF into the F-forms
+    assert (scaled(form, b.ws.wF), SymMatrixQ(bh), scaled(bhf, b.ws.wF)) \
+        == (st0, bh0, bhf0)
 
     count = outcome(critical_count, st0)
     code, out = run_cli("count", path, "--params", params_text(point),
@@ -126,10 +135,11 @@ PARABOLA = ci.CISpec(
 
 
 def check_ci(tables, path, point):
-    _, T, P = hyper.forms_at(tables, point)
-    pt = SymMatrixQ(mat_mul(P, T))
+    tau, T, c = hyper.forms_at(tables, point)
+    form = ci.tau_form(tau, mat_vec(T, c))
+    assert form == mat_mul(tables.P.values(point), T)
     pt0 = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
-    assert pt == pt0
+    assert SymMatrixQ(form) == pt0
     count = outcome(critical_count, pt0)
     code, out = run_cli("ci-count", path, "--params", params_text(point),
                         "--json")
@@ -203,18 +213,21 @@ def test_point_commands_take_no_parametric_determinant(monkeypatch):
 
 def test_point_commands_build_nothing_parametric(monkeypatch):
     """Point commands evaluate tau and the first map's coordinates and form
-    P over Q: no weight system, no Sigma and no parametric P is built."""
-    rows_args = []
+    each trace form over Q from them: no weight system, no Sigma and no P
+    is built."""
+    form_args = []
     unused = []
-    real_rows = ci.multiplication_rows
+    real_form = ci.tau_form
 
-    def rows_spy(tau, coeffs):
-        rows_args.append([e for t in tau for row in t for e in row]
+    def form_spy(tau, coeffs):
+        form_args.append([e for t in tau for row in t for e in row]
                          + list(coeffs))
-        return real_rows(tau, coeffs)
+        return real_form(tau, coeffs)
 
     for mod in (ci, hyper):
-        monkeypatch.setattr(mod, "multiplication_rows", rows_spy)
+        monkeypatch.setattr(mod, "tau_form", form_spy)
+    monkeypatch.setattr(ci, "multiplication_rows",
+                        lambda *a: unused.append("multiplication_rows"))
     for name in ("log_matrix", "derive_weights"):
         real = getattr(hyper, name)
         monkeypatch.setattr(hyper, name, lambda *a, name=name, real=real:
@@ -228,10 +241,10 @@ def test_point_commands_build_nothing_parametric(monkeypatch):
         if name != "ci_parabola":
             commands += ("count", "euler")
         for command in commands:
-            rows_args.clear()
+            form_args.clear()
             argv = (command, f"{FIX}/{name}.ls", "--params", point)
             assert run_cli(*argv)[0] == 0, argv
-            assert rows_args, argv
+            assert form_args, argv
             assert all(isinstance(e, (int, Fraction))
-                       for args in rows_args for e in args), argv
+                       for args in form_args for e in args), argv
     assert unused == []
