@@ -281,6 +281,20 @@ class CITables:
             [t.entries for t in self.tau], self.first_map_coords))
 
 
+def monomial_hint(basis):
+    """The x-exponents of basis elements, each a monic monomial in the
+    x-variables only; anything else raises ValueError."""
+    hint = []
+    for b in basis:
+        if len(b.terms) != 1 or b.lead_coeff() != 1:
+            raise ValueError("basis elements must be monic monomials")
+        m = b.lead_monomial()
+        if any(m[b.vt.nx:]):
+            raise ValueError("basis elements must involve only x-variables")
+        hint.append(m[:b.vt.nx])
+    return hint
+
+
 def ci_tables(spec, mi, basis_hint=None):
     """Multiplication tables on the quotient by the minor ideal; the matrix
     P whose determinant cuts out the discriminant is built on first use."""

@@ -118,8 +118,8 @@ class LoadedSpec:
         mi = ci_mod.minor_ideal(self.cspec)
         hint = None
         if self.basis_text is not None:
-            hint = [parse_poly(b, self.vt).lead_monomial()[:self.vt.nx]
-                    for b in self.basis_text]
+            hint = ci_mod.monomial_hint([parse_poly(b, self.vt)
+                                         for b in self.basis_text])
         return ci_mod.ci_tables(self.cspec, mi, basis_hint=hint)
 
     @cached_property

@@ -6,16 +6,20 @@ pseudo-reduction with content stripping.  When every leading coefficient
 met during a reduction is a nonzero rational the certificate scale is 1
 and the reduction is exact; a nonconstant scale is surfaced, never
 silently divided out.
+
+Each polynomial is split by x-monomial once, and ``reduce_poly`` takes
+the x-monomials still to reduce from a heap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .poly import (Polynomial, degrevlex_key, exact_divide, monomial_div,
-                   monomial_lcm, monomial_mul, poly_gcd_list)
+from .poly import (Polynomial, _heap_key, degrevlex_key, exact_divide,
+                   monomial_div, monomial_lcm, monomial_mul, poly_gcd_list)
 
 
 class NonConstantScaleError(ArithmeticError):
@@ -49,10 +53,6 @@ class ParamIdeal:
                 raise ValueError("generators must share one variable table")
         object.__setattr__(self, "generators", gens)
 
-    @property
-    def vt(self):
-        return self.generators[0].vt
-
 
 def _split_x(p):
     """Group terms by x-monomial: x-exponents -> parameter-coefficient poly."""
@@ -60,46 +60,42 @@ def _split_x(p):
     pad = (0,) * nx
     out = {}
     for m, c in p.terms.items():
-        xm = m[:nx]
-        cf = out.setdefault(xm, {})
-        cf[pad + m[nx:]] = c
+        out.setdefault(m[:nx], {})[pad + m[nx:]] = c
     return {xm: Polynomial._raw(p.vt, cf) for xm, cf in out.items()}
 
 
-def _lead_x(p):
-    nx = p.vt.nx
-    return max((m[:nx] for m in p.terms), key=degrevlex_key)
+def _join(vt, split):
+    """The polynomial whose split is ``split``."""
+    nx = vt.nx
+    return Polynomial._raw(vt, {xm + m[nx:]: c for xm, cf in split.items()
+                                for m, c in cf.terms.items()})
 
 
-def _x_coeff(p, xm):
-    """Coefficient of an x-monomial, as a parameter polynomial."""
-    nx = p.vt.nx
-    pad = (0,) * nx
-    out = {}
-    for m, c in p.terms.items():
-        if m[:nx] == xm:
-            out[pad + m[nx:]] = c
-    return Polynomial._raw(p.vt, out)
-
-
-def _shift_x(p, xm):
-    """Multiply by the monomial with x-exponents xm."""
-    full = xm + (0,) * (p.vt.nvars - len(xm))
-    return Polynomial._raw(p.vt, {monomial_mul(m, full): c
-                                  for m, c in p.terms.items()})
+def _add_into(split, xm, c):
+    """split[xm] += c, dropping a zero sum; True when xm was absent."""
+    old = split.get(xm)
+    if old is None:
+        split[xm] = c
+        return True
+    c = old + c
+    if c:
+        split[xm] = c
+    else:
+        del split[xm]
+    return False
 
 
 def _strip_content(p):
-    """Divide out the gcd of the parameter-polynomial x-coefficients."""
+    """Divide out the gcd of the parameter-polynomial x-coefficients and
+    make the leading x-coefficient's leading coefficient positive."""
     if p.is_zero:
         return p
-    coeffs = list(_split_x(p).values())
-    g = poly_gcd_list(coeffs)
+    split = _split_x(p)
+    g = poly_gcd_list(list(split.values()))
     q = exact_divide(p, g)
-    lead = _x_coeff(q, _lead_x(q))
-    if lead.lead_coeff() < 0:
-        q = -q
-    return q
+    # leading coefficients multiply, so that of lead / g has this sign
+    lead = split[max(split, key=degrevlex_key)]
+    return -q if (lead.lead_coeff() < 0) != (g.lead_coeff() < 0) else q
 
 
 @dataclass
@@ -123,20 +119,32 @@ class ReductionCertificate:
 
 @dataclass
 class GroebnerBasis:
+    """Basis elements, each split by x-monomial once: its leading
+    x-monomial, the parameter polynomial there, and the rest of the split
+    (x-monomial -> parameter polynomial), which reductions shift."""
+
     elements: list
-    source: ParamIdeal
-    lead_monomials: list = field(default_factory=list)
-    lead_coeffs: list = field(default_factory=list)
+    lead_monomials: list = field(init=False)
+    lead_coeffs: list = field(init=False)
+    tails: list = field(init=False)
 
     def __post_init__(self):
-        if not self.lead_monomials:
-            self.lead_monomials = [_lead_x(g) for g in self.elements]
-            self.lead_coeffs = [_x_coeff(g, m)
-                                for g, m in zip(self.elements, self.lead_monomials)]
+        elements, self.elements = self.elements, []
+        self.lead_monomials, self.lead_coeffs, self.tails = [], [], []
+        for g in elements:
+            self.append(g)
+
+    def append(self, g):
+        tail = _split_x(g)
+        lm = max(tail, key=degrevlex_key)
+        self.elements.append(g)
+        self.lead_monomials.append(lm)
+        self.lead_coeffs.append(tail.pop(lm))
+        self.tails.append(tail)
 
     @property
     def vt(self):
-        return self.source.vt
+        return self.elements[0].vt
 
 
 @dataclass
@@ -158,86 +166,86 @@ class QuotientBasis:
 
 def reduce_poly(p, gb):
     """Extended pseudo-reduction of p by a (Groebner) basis; by a Groebner
-    basis the remainder is p's normal form, on standard monomials only."""
+    basis the remainder is p's normal form, on standard monomials only.
+
+    p is split by x-monomial once, and its x-monomials wait in a heap,
+    largest first, as in ``poly.exact_divide``. A popped monomial divisible
+    by a leading monomial is reduced by the first such element, which
+    brings in only smaller monomials; any other is final and stays."""
     vt = p.vt
-    one = Polynomial.const(vt, 1)
-    scale = one
-    cof = [Polynomial.zero(vt) for _ in gb.elements]
-    r = p
-    while not r.is_zero:
-        # highest reducible x-monomial still present in r: scan the split
-        # from the top, dropping irreducible monomials as they are met
-        split = _split_x(r)
-        pool = {xm: degrevlex_key(xm) for xm in split}
-        step = None
-        while pool and step is None:
-            xm = max(pool, key=pool.__getitem__)
-            del pool[xm]
-            for gi, lm in enumerate(gb.lead_monomials):
-                d = monomial_div(xm, lm)
-                if d is not None:
-                    step = (xm, gi, d)
-                    break
-        if step is None:
-            break
-        xm, gi, d = step
-        c = split[xm]
+    scale = Polynomial.const(vt, 1)
+    cof = [{} for _ in gb.elements]  # splits of the cofactors
+    r = _split_x(p)
+    heap = [(_heap_key(xm), xm) for xm in r]
+    heapify(heap)
+    while heap:
+        xm = heappop(heap)[1]
+        c = r.get(xm)
+        if c is None:
+            continue  # cancelled earlier, or a duplicate entry
+        for gi, lm in enumerate(gb.lead_monomials):
+            d = monomial_div(xm, lm)
+            if d is not None:
+                break
+        else:
+            continue  # irreducible: part of the remainder
+        del r[xm]
         lead = gb.lead_coeffs[gi]
-        shifted = _shift_x(gb.elements[gi], d)
-        mono = Polynomial.monomial(vt, d + (0,) * (vt.nvars - vt.nx))
         if lead.is_constant:
             factor = c * (1 / lead.constant_value())
-            r = r - factor * shifted
-            cof[gi] = cof[gi] + factor * mono
         else:
-            r = lead * r - c * shifted
+            r = {m: lead * v for m, v in r.items()}
             scale = scale * lead
-            cof = [lead * ci for ci in cof]
-            cof[gi] = cof[gi] + c * mono
-    return ReductionCertificate(r, cof, scale)
+            cof = [{m: lead * v for m, v in ci.items()} for ci in cof]
+            factor = c
+        cof[gi][d] = factor
+        neg = -factor
+        for tm, tc in gb.tails[gi].items():
+            mm = monomial_mul(d, tm)
+            if _add_into(r, mm, neg * tc):
+                heappush(heap, (_heap_key(mm), mm))
+    return ReductionCertificate(_join(vt, r), [_join(vt, ci) for ci in cof],
+                                scale)
 
 
-def _s_poly(f, lm_f, lc_f, g, lm_g, lc_g):
-    lcm = monomial_lcm(lm_f, lm_g)
-    return (lc_g * _shift_x(f, monomial_div(lcm, lm_f))
-            - lc_f * _shift_x(g, monomial_div(lcm, lm_g)))
+def _s_poly(gb, i, j):
+    """lc_j * (lcm/lm_i) * g_i - lc_i * (lcm/lm_j) * g_j; the leading terms
+    cancel, so only the tails are shifted."""
+    lms, lcs = gb.lead_monomials, gb.lead_coeffs
+    lcm = monomial_lcm(lms[i], lms[j])
+    s = {}
+    for k, c in ((i, lcs[j]), (j, -lcs[i])):
+        d = monomial_div(lcm, lms[k])
+        for xm, ck in gb.tails[k].items():
+            _add_into(s, monomial_mul(d, xm), c * ck)
+    return _join(gb.vt, s)
 
 
 def buchberger(ideal):
     """Reduced Groebner basis over the fraction field of the parameter ring."""
-    basis = [_strip_content(g) for g in ideal.generators]
-    lms = [_lead_x(g) for g in basis]
-    lcs = [_x_coeff(g, m) for g, m in zip(basis, lms)]
-
-    pairs = set(combinations(range(len(basis)), 2))
-    handled = set()
+    gb = GroebnerBasis([_strip_content(g) for g in ideal.generators])
+    lms = gb.lead_monomials
+    pairs = set(combinations(range(len(lms)), 2))
     while pairs:
         # normal strategy: smallest lcm degree first
         i, j = min(pairs, key=lambda ij: degrevlex_key(
             monomial_lcm(lms[ij[0]], lms[ij[1]])))
         pairs.discard((i, j))
-        handled.add((i, j))
         lcm = monomial_lcm(lms[i], lms[j])
         if lcm == monomial_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
-        if _chain_criterion(i, j, lcm, lms, pairs, handled):
+        if _chain_criterion(i, j, lcm, lms, pairs):
             continue
-        s = _s_poly(basis[i], lms[i], lcs[i], basis[j], lms[j], lcs[j])
-        cert = reduce_poly(s, GroebnerBasis(basis, ideal, lms[:], lcs[:]))
+        cert = reduce_poly(_s_poly(gb, i, j), gb)
         if cert.remainder.is_zero:
             continue
-        new = _strip_content(cert.remainder)
-        basis.append(new)
-        lms.append(_lead_x(new))
-        lcs.append(_x_coeff(new, lms[-1]))
-        k = len(basis) - 1
+        gb.append(_strip_content(cert.remainder))
+        k = len(lms) - 1
         pairs.update((idx, k) for idx in range(k))
-
-    basis, lms, lcs = _interreduce(basis, lms, lcs, ideal)
-    return GroebnerBasis(basis, ideal, lms, lcs)
+    return _interreduce(gb)
 
 
-def _chain_criterion(i, j, lcm, lms, pairs, handled):
+def _chain_criterion(i, j, lcm, lms, pairs):
     for k in range(len(lms)):
         if k in (i, j):
             continue
@@ -250,30 +258,20 @@ def _chain_criterion(i, j, lcm, lms, pairs, handled):
     return False
 
 
-def _interreduce(basis, lms, lcs, ideal):
+def _interreduce(gb):
     # minimal basis: drop elements whose lead is divisible by another lead
-    by_key = sorted(range(len(basis)), key=lambda i: degrevlex_key(lms[i]))
+    lms = gb.lead_monomials
     keep = []
-    for i in by_key:
+    for i in sorted(range(len(lms)), key=lambda i: degrevlex_key(lms[i])):
         if not any(monomial_div(lms[i], lms[j]) is not None for j in keep):
             keep.append(i)
-    basis = [basis[i] for i in keep]
-    lms = [lms[i] for i in keep]
-    lcs = [lcs[i] for i in keep]
-    # fully reduce each element by the others (its own lead is irreducible)
-    reduced = []
-    for i, g in enumerate(basis):
-        others_idx = [j for j in range(len(basis)) if j != i]
-        others = GroebnerBasis([basis[j] for j in others_idx], ideal,
-                               [lms[j] for j in others_idx],
-                               [lcs[j] for j in others_idx])
-        cert = reduce_poly(g, others)
+    # reduce each by the others: its lead stays, and so the order by lead
+    reduced = GroebnerBasis([])
+    for i in keep:
+        others = GroebnerBasis([gb.elements[j] for j in keep if j != i])
+        cert = reduce_poly(gb.elements[i], others)
         reduced.append(_strip_content(cert.remainder))
-    lms = [_lead_x(g) for g in reduced]
-    lcs = [_x_coeff(g, m) for g, m in zip(reduced, lms)]
-    idx = sorted(range(len(reduced)), key=lambda i: degrevlex_key(lms[i]))
-    return ([reduced[i] for i in idx], [lms[i] for i in idx],
-            [lcs[i] for i in idx])
+    return reduced
 
 
 def standard_basis(gb, ordering_hint=None):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ci import (CISpec, NotQuasihomogeneousError, WeightSystem, ci_tables,
-                 minor_ideal, tau_form, traces, weight_system)
+                 minor_ideal, monomial_hint, tau_form, traces, weight_system)
 from .groebner import coordinates
 from .matrix import PolyMatrix, det_bareiss, discriminant, mat_vec
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
@@ -49,15 +49,7 @@ class DeformationSpec:
         params = tuple(params)
         if len(params) != len(basis_monomials):
             raise ValueError("need one parameter per basis element")
-        nx = vt.nx
-        hint = []
-        for b in basis_monomials:
-            if len(b.terms) != 1 or b.lead_coeff() != 1:
-                raise ValueError("basis elements must be monic monomials")
-            m = b.lead_monomial()
-            if any(m[nx:]):
-                raise ValueError("basis elements must involve only x-variables")
-            hint.append(m[:nx])
+        hint = monomial_hint(basis_monomials)
         if not hint or any(hint[0]):
             raise ValueError("the first basis element must be 1")
         F = f0

@@ -423,15 +423,9 @@ def _coeffs_in(p, i):
     """p as univariate in variable index i: degree -> coefficient poly."""
     out = {}
     for m, c in p.terms.items():
-        e = m[i]
-        m2 = m[:i] + (0,) + m[i + 1:]
-        cf = out.setdefault(e, {})
-        s = cf.get(m2, 0) + c
-        if s:
-            cf[m2] = s
-        else:
-            cf.pop(m2, None)
-    return {e: Polynomial._raw(p.vt, cf) for e, cf in out.items() if cf}
+        # distinct monomials of one degree stay distinct with m[i] zeroed
+        out.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+    return {e: Polynomial._raw(p.vt, cf) for e, cf in out.items()}
 
 
 def _pseudo_rem(a, b, i):

@@ -164,6 +164,24 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, command, text,
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv, basis_line, message", [
+    (["--basis", "1,x1,x2,2*x2^2"], "",
+     "basis elements must be monic monomials"),
+    (["--basis", "1,t1*x2,x1"], "",
+     "basis elements must involve only x-variables"),
+    ([], 'basis = ["1", "x2", "x1", "x2^2 + x1"]\n',
+     "basis elements must be monic monomials"),
+], ids=["non-monic-override", "parameter-override", "sum-in-file"])
+def test_malformed_ci_basis_is_refused(tmp_path, capsys, argv, basis_line,
+                                       message):
+    # a complete intersection's basis gets a hypersurface's checks
+    path = tmp_path / "ci.ls"
+    path.write_text(open(f"{FIX}/ci_k2.ls").read() + basis_line)
+    code, out, err = run(capsys, "ci-tables", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("family", ["a5", "d5"])
 def test_maxwell_finishes_on_mu_5(family):
     proc = subprocess.run(

@@ -7,7 +7,7 @@ from logdisc.groebner import (InfiniteQuotientError, NonConstantScaleError,
                               ParamIdeal, buchberger, coordinates,
                               reduce_poly, standard_basis)
 from logdisc.parse import parse_poly
-from logdisc.poly import Polynomial, VarTable
+from logdisc.poly import Polynomial, VarTable, monomial_div
 
 VT1 = VarTable(("x1", "x2"), ("u", "d", "c", "b"))
 VT6 = VarTable(("x", "y"), ("u", "a", "b", "c", "d", "g"))
@@ -193,6 +193,22 @@ def test_nonconstant_scale_flagged():
     assert not cert.scale_is_constant
     with pytest.raises(NonConstantScaleError):
         cert.require_constant_scale()
+
+
+@settings(max_examples=40, deadline=None)
+@given(vt1_polys())
+def test_nonconstant_lead_certificate(q):
+    # the lead b*x1 is not a constant: each step by it scales the certificate
+    gb = buchberger(ParamIdeal((parse_poly("b*x1 + 1", VT1),
+                                parse_poly("x2", VT1))))
+    cert = reduce_poly(q, gb)
+    recon = cert.remainder
+    for cof, g in zip(cert.cofactors, gb.elements):
+        recon = recon + cof * g
+    assert recon == cert.scale * q
+    for m in cert.remainder.terms:
+        assert all(monomial_div(m[:VT1.nx], lm) is None
+                   for lm in gb.lead_monomials)
 
 
 def test_buchberger_completes_nontrivial_pair():
