@@ -318,15 +318,16 @@ def remainder_coordinates(cert, qb):
     """Coordinates of a remainder in the standard-monomial basis.
 
     The certificate scale must be constant for the coordinates to be
-    parameter polynomials; a nonconstant scale raises.
+    parameter polynomials; a nonconstant scale raises. A constant scale is
+    1 (it starts at 1 and only nonconstant leads multiply it), so the
+    remainder's coefficients are the coordinates.
     """
     cert.require_constant_scale()
-    s = cert.scale.constant_value()
     split = _split_x(cert.remainder)
     coords = []
     for m in qb.monomials:
         c = split.pop(m, None)
-        coords.append(Polynomial.zero(qb.vt) if c is None else c * (1 / s))
+        coords.append(Polynomial.zero(qb.vt) if c is None else c)
     if split:
         raise ValueError("remainder has support outside the standard basis")
     return coords

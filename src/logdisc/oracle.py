@@ -5,9 +5,9 @@ Euler-characteristic estimator for one or two space variables.
 The Newton finder runs its starts as numpy batches. Every polynomial of the
 gradient (or Lagrange) system is a coefficient vector over one shared
 monomial set, so a batch of points is evaluated with one matrix product, and
-each Newton step makes one stacked call to ``np.linalg.solve``. The first
-batch holds mu starts, so that points whose critical points are all found
-by the first starts stay cheap; the second holds the rest of the budget. A
+each Newton step makes one stacked call to ``np.linalg.solve``. The whole
+start budget runs as one batch, every start on its own row; the points are
+taken in start order, so the batch changes the cost, not the points. A
 start whose line search rejects every step length is stuck and stops with
 failure, like one with a singular Jacobian.
 
@@ -32,6 +32,7 @@ NEWTON_STEPS = 80
 LINE_SEARCH_HALVINGS = 30
 DIVERGENCE_FACTOR = 50
 GRID_DOUBLINGS = 6
+_TRIAL_POINTS = 2048   # line-search trial points per residual evaluation
 
 
 @dataclass
@@ -110,7 +111,17 @@ class _LagrangeSystem:
         return np.concatenate([r_x, v[:, nx:nx + k]], axis=1), jg
 
     def residual(self, Z):
+        if not self.k:
+            return self.first(Z)
         return self._residual(Z, self.first(Z[:, :self.nx]))[0]
+
+    def newton_system(self, Z):
+        """Residuals r and Jacobians J at the rows of Z; with k = 0, the
+        gradient and the Hessian of F, read off one evaluation."""
+        if self.k:
+            return self.linearize(Z)[:2]
+        nx, v = self.nx, self.both(Z)
+        return v[:, :nx], v[:, self.n_first:].reshape(len(Z), nx, nx)
 
     def linearize(self, Z):
         """Residuals r, Jacobians J, Hessians of the Lagrangian
@@ -152,13 +163,12 @@ def _solve_steps(J, r):
     systems that were solvable. A singular Jacobian drops only its own
     start: when the stacked solve fails, each system is solved alone."""
     import numpy as np
+    solved = np.ones(len(r), dtype=bool)
     try:
-        return np.linalg.solve(J, r[:, :, None])[:, :, 0], \
-            np.ones(len(r), dtype=bool)
+        return np.linalg.solve(J, r[:, :, None])[:, :, 0], solved
     except np.linalg.LinAlgError:
         pass
     steps = np.zeros_like(r)
-    solved = np.ones(len(r), dtype=bool)
     for i in range(len(r)):
         try:
             steps[i] = np.linalg.solve(J[i], r[i])
@@ -167,36 +177,34 @@ def _solve_steps(J, r):
     return steps, solved
 
 
-# the line search's blocks of halving counts, as (first, end) pairs: the
-# halvings 1 .. LINE_SEARCH_HALVINGS - 1 in three consecutive blocks (1-10,
-# 11-20, 21-29), so that a trial batch holds at most 10 points per row of Z
-_BLOCK_WIDTH = -(-(LINE_SEARCH_HALVINGS - 1) // 3)
-_HALVING_BLOCKS = [(lo, min(lo + _BLOCK_WIDTH, LINE_SEARCH_HALVINGS))
-                   for lo in range(1, LINE_SEARCH_HALVINGS, _BLOCK_WIDTH)]
+def _norms(a):
+    """Row norms of a real array, as ``np.linalg.norm(a, axis=1)``."""
+    import numpy as np
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 def _damping(system, Z, step, base):
     """Step lengths against overshoot: per row the first t in 1, 1/2, ...,
     2^-(LINE_SEARCH_HALVINGS - 1) with ||r(z - t step)|| <= base, else
-    2^-LINE_SEARCH_HALVINGS. Rows that reject t = 1 try the shorter lengths
-    in the blocks of ``_HALVING_BLOCKS``, each block only for the rows that
-    rejected every length of the earlier ones, so that a trial batch holds
-    at most _BLOCK_WIDTH points per row of Z."""
+    2^-LINE_SEARCH_HALVINGS. Rows that reject t = 1 try the next
+    max(10, _TRIAL_POINTS // rows) halvings per trial batch, where rows
+    counts the rows that rejected every length so far: a few rows try all
+    the halvings in one batch, and many try 10 each."""
     import numpy as np
     t = np.ones(len(Z))
-    accept = np.linalg.norm(system.residual(Z - step), axis=1) <= base
-    rest = np.flatnonzero(~accept)
-    for lo, hi in _HALVING_BLOCKS:
-        if not len(rest):
-            break
+    rest = np.flatnonzero(~(_norms(system.residual(Z - step)) <= base))
+    lo = 1
+    while len(rest) and lo < LINE_SEARCH_HALVINGS:
+        hi = min(lo + max(10, _TRIAL_POINTS // len(rest)),
+                 LINE_SEARCH_HALVINGS)
         ts = np.ldexp(1.0, -np.arange(lo, hi))
         trial = Z[rest, None] - ts[None, :, None] * step[rest, None]
-        accept = (np.linalg.norm(system.residual(
-            trial.reshape(-1, Z.shape[1])), axis=1).reshape(len(rest), -1)
-            <= base[rest, None])
+        accept = (_norms(system.residual(trial.reshape(-1, Z.shape[1])))
+                  .reshape(len(rest), -1) <= base[rest, None])
         hit = accept.any(axis=1)
         t[rest[hit]] = ts[accept[hit].argmax(axis=1)]
         rest = rest[~hit]
+        lo = hi
     t[rest] = np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
     return t
 
@@ -212,34 +220,37 @@ def _newton(system, Z, ball_radius):
     rejected (the start is stuck; it is not stepped), or when |x| exceeds
     DIVERGENCE_FACTOR * ball_radius."""
     import numpy as np
-    n = len(Z)
-    Z = Z.copy()
-    ok = np.zeros(n, dtype=bool)
-    res = np.zeros(n)
-    active = np.arange(n)
+    Z = za = Z.copy()
+    ok = np.zeros(len(Z), dtype=bool)
+    res = np.zeros(len(Z))
+    active = np.arange(len(Z))
     stuck = np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
     for _ in range(NEWTON_STEPS):
-        za = Z[active]
-        r, J, _, _ = system.linearize(za)
-        base = np.linalg.norm(r, axis=1)
+        r, J = system.newton_system(za)
+        base = _norms(r)
         done = base < NEWTON_TOL
-        ok[active[done]] = True
-        res[active[done]] = base[done]
-        active, za, r, J, base = (active[~done], za[~done], r[~done],
-                                  J[~done], base[~done])
+        if done.any():
+            ok[active[done]] = True
+            res[active[done]] = base[done]
+            keep = ~done
+            active, za, r, J, base = (active[keep], za[keep], r[keep],
+                                      J[keep], base[keep])
         if not len(active):
             break
         step, solved = _solve_steps(J, r)
-        active, za, step, base = (active[solved], za[solved], step[solved],
-                                  base[solved])
+        if not solved.all():
+            active, za, step, base = (active[solved], za[solved],
+                                      step[solved], base[solved])
         t = _damping(system, za, step, base)
         moved = t != stuck
-        active, za, step, t = (active[moved], za[moved], step[moved],
-                               t[moved])
+        if not moved.all():
+            active, za, step, t = (active[moved], za[moved], step[moved],
+                                   t[moved])
         za = za - t[:, None] * step
         Z[active] = za
-        active = active[~(np.linalg.norm(za[:, :system.nx], axis=1)
-                          > DIVERGENCE_FACTOR * ball_radius)]
+        out = _norms(za[:, :system.nx]) > DIVERGENCE_FACTOR * ball_radius
+        if out.any():
+            active, za = active[~out], za[~out]
     return Z, ok, res
 
 
@@ -248,10 +259,8 @@ def find_critical_points(F, assignment, mu, ball_radius=DEFAULT_BALL,
     """Multistart damped Newton on the gradient (or Lagrange) system inside
     a ball, with deduplication and Morse classification.
 
-    The starts run as two numpy batches: the first max(mu, 1) starts, then,
-    unless they found mu points, the rest of the budget. Every start runs on
-    its own row, so the batching changes the cost, not the points. Fixed
-    are:
+    The starts run as one numpy batch, each on its own row, and the points
+    are taken from it in start order. Fixed are:
 
     - the budget of START_BUDGET_PER_MU * max(mu, 1) starts;
     - the Newton and line-search limits, tolerances and failure rules of
@@ -270,38 +279,28 @@ def find_critical_points(F, assignment, mu, ball_radius=DEFAULT_BALL,
     rng = np.random.default_rng(seed)
     budget = START_BUDGET_PER_MU * max(mu, 1)
     dedup = DEDUP_FACTOR * R
-    found = []
-    residual = 0.0
-    first = max(mu, 1)
-    stop = False
+    found, residual = [], 0.0
     with np.errstate(all="ignore"):
-        for n in (first, budget - first):
-            if stop:
+        # row by row the same draws as uniform(-R, R, nx) followed by
+        # uniform(-1, 1, k) for each start in turn
+        Z0 = low + (high - low) * rng.random((budget, nx + k))
+        Z, ok, res = _newton(system, Z0, R)
+        rows = np.flatnonzero(ok & ~(_norms(Z[:, :nx]) > R))
+        X = Z[rows, :nx]
+        # in start order, the first row not within dedup of a point found
+        # so far is the next point
+        fresh = np.ones(len(rows), dtype=bool)
+        while fresh.any():
+            j = fresh.argmax()
+            i, x = rows[j], X[j]
+            morse, hsign = system.classify(Z[i])
+            fval = float(system.value(x[None, :])[0, 0])
+            found.append((tuple(x), fval, morse, hsign))
+            residual = max(residual, float(res[i]))
+            if len(found) == mu:
                 break
-            # row by row the same draws as uniform(-R, R, nx) followed by
-            # uniform(-1, 1, k) for each start in turn
-            Z0 = low + (high - low) * rng.random((n, nx + k))
-            Z, ok, res = _newton(system, Z0, R)
-            rows = np.flatnonzero(
-                ok & ~(np.linalg.norm(Z[:, :nx], axis=1) > R))
-            X = Z[rows, :nx]
-            # in start order, the first row not within dedup of a point
-            # found so far is the next point
-            fresh = np.ones(len(rows), dtype=bool)
-            for p in found:
-                fresh &= ~(np.linalg.norm(X - p[0], axis=1) < dedup)
-            while fresh.any():
-                j = fresh.argmax()
-                i, x = rows[j], X[j]
-                morse, hsign = system.classify(Z[i])
-                fval = float(system.value(x[None, :])[0, 0])
-                found.append((tuple(x), fval, morse, hsign))
-                residual = max(residual, float(res[i]))
-                if len(found) == mu:
-                    stop = True
-                    break
-                fresh[j] = False
-                fresh &= ~(np.linalg.norm(X - x, axis=1) < dedup)
+            fresh[j] = False
+            fresh &= ~(_norms(X - x) < dedup)
     signed = sum(1 if p[1] > 0 else -1 for p in found)
     return CriticalPointReport(found, residual, signed, len(found) == mu)
 

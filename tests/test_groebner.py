@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logdisc import groebner
+from logdisc.cli import LoadedSpec, read_input_file
 from logdisc.groebner import (InfiniteQuotientError, NonConstantScaleError,
                               ParamIdeal, buchberger, coordinates,
                               reduce_poly, standard_basis)
@@ -193,6 +195,26 @@ def test_nonconstant_scale_flagged():
     assert not cert.scale_is_constant
     with pytest.raises(NonConstantScaleError):
         cert.require_constant_scale()
+
+
+@pytest.mark.parametrize("name", ["a1", "a2", "example1", "e6", "ci_k2",
+                                  "ci_parabola"])
+def test_constant_scale_is_one(monkeypatch, name):
+    # every normal form behind a fixture's tables and first-map
+    # coordinates: a certificate with a constant scale has scale 1, which
+    # is why remainder_coordinates reads the coordinates off the remainder
+    certs, reduce = [], groebner.reduce_poly
+
+    def spy(p, gb):
+        certs.append(reduce(p, gb))
+        return certs[-1]
+
+    monkeypatch.setattr(groebner, "reduce_poly", spy)
+    loaded = LoadedSpec(read_input_file("fixtures/%s.ls" % name))
+    loaded.algebra.first_map_coords
+    constant = [c for c in certs if c.scale_is_constant]
+    assert constant
+    assert all(c.scale == Polynomial.const(loaded.vt, 1) for c in constant)
 
 
 @settings(max_examples=40, deadline=None)

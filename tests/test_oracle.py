@@ -171,6 +171,9 @@ def test_batched_finder_matches_per_start_reference(a2, e6):
         # asking for more points than exist spends the whole budget
         (parse_poly("x1 + x2 + u", vt), {"u": Fraction(1, 3)}, 3,
          (circle,), 2),
+        # the first mu starts give all mu points, so the search stops there
+        (parse_poly("x1^3 - 3*x1 + x2^2 + u", vt), {"u": Fraction(0)}, 2,
+         (), 1),
     ]
     for F, point, mu, cons, seed in cases:
         want = _per_start_reference(F, point, mu, cons, seed)
@@ -181,6 +184,36 @@ def test_batched_finder_matches_per_start_reference(a2, e6):
             assert np.allclose(coords, x, rtol=0, atol=1e-9)
             assert abs(fval - f) < 1e-9
             assert (morse, hsign) == (m, h)
+
+
+def test_one_newton_batch_per_query(monkeypatch, a2):
+    # every start of the budget runs in one _newton call, also where the
+    # first mu starts give all mu points (x1 = 1, then x1 = -1, on seed 1):
+    # those rows are then the reported points, in start order
+    vt = VarTable(("x1", "x2"), ("u",))
+    circle = parse_poly("x1^2 + x2^2 - 1", vt)
+    calls = []
+
+    def spy(system, Z, ball_radius):
+        calls.append(_newton(system, Z, ball_radius))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle, "_newton", spy)
+    cases = [
+        # no real critical point: the whole budget is spent
+        (a2.spec.F, {"u": Fraction(0), "b": Fraction(3)}, 2, (), 0),
+        (parse_poly("x1 + u", vt), {"u": Fraction(0)}, 2, (circle,), 0),
+        (parse_poly("x1^3 - 3*x1 + x2^2 + u", vt), {"u": Fraction(0)}, 2,
+         (), 1),
+    ]
+    for F, point, mu, cons, seed in cases:
+        calls.clear()
+        rep = find_critical_points(F, point, mu, constraints=cons, seed=seed)
+        assert len(calls) == 1
+        assert len(calls[0][0]) == 200 * max(mu, 1)
+    Z, ok, _ = calls[0]
+    assert ok[:2].all()
+    assert [p[0] for p in rep.points] == [tuple(z) for z in Z[:2]]
 
 
 def test_damping_halves_until_the_residual_does_not_grow():
@@ -209,8 +242,8 @@ def _one_batch_damping(system, Z, step, base):
 
 def test_blocked_damping_matches_one_batch():
     # r(x) = x from x = 1 with bound 1 accepts the step 2^k first at
-    # t = 2^-(k-1), so these rows accept at every halving count, in every
-    # block of the search, and the last row rejects them all
+    # t = 2^-(k-1), so these rows accept at every halving count, and the
+    # last row rejects them all
     vt = VarTable(("x",), ("u",))
     system = _LagrangeSystem(parse_poly("1/2*x^2 + u", vt),
                              {"u": Fraction(0)}, ())
@@ -234,6 +267,54 @@ def test_blocked_damping_matches_one_batch():
     t = _damping(system, Z, step, base)
     assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
     assert len(set(t.tolist())) > 10
+
+
+def _trial_sizes(system):
+    """Record the number of rows of every residual evaluation."""
+    sizes, residual = [], system.residual
+
+    def spy(Z):
+        sizes.append(len(Z))
+        return residual(Z)
+
+    system.residual = spy
+    return sizes
+
+
+def test_damping_trial_batches_are_capped_by_points():
+    # r(x) = x from x = 1 with bound 1, as above: the step 2^(h+1) is
+    # first accepted after h halvings
+    vt = VarTable(("x",), ("u",))
+    system = _LagrangeSystem(parse_poly("1/2*x^2 + u", vt),
+                             {"u": Fraction(0)}, ())
+    sizes = _trial_sizes(system)
+    # four rows reject t = 1: one trial batch holds all their halvings
+    step = np.ldexp(1.0, [[0], [5], [20], [29], [40]])
+    Z, base = np.ones_like(step), np.ones(len(step))
+    t = _damping(system, Z, step, base)
+    assert sizes == [5, 4 * (LINE_SEARCH_HALVINGS - 1)]
+    assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
+    # more than _TRIAL_POINTS // 10 rows reject t = 1: each tries 10
+    # halvings per batch until few enough are left for the rest at once
+    rows = oracle._TRIAL_POINTS // 10 + 100
+    h = np.arange(rows) % (LINE_SEARCH_HALVINGS + 2) + 1
+    step = np.ldexp(1.0, h + 1)[:, None]
+    Z, base = np.ones_like(step), np.ones(rows)
+    sizes.clear()
+    t = _damping(system, Z, step, base)
+    assert sizes == [rows, 10 * rows, 10 * (h > 10).sum(), 9 * (h > 20).sum()]
+    assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
+
+
+def test_gradient_step_equals_linearize():
+    vt = VarTable(("x1", "x2"), ("u",))
+    system = _LagrangeSystem(parse_poly("x1^4 - 3*x1^2*x2 + x2^3 + u", vt),
+                             {"u": Fraction(1, 3)}, ())
+    Z = np.random.default_rng(7).uniform(-3, 3, (50, 2))
+    r, J = system.newton_system(Z)
+    r0, J0, _, _ = system.linearize(Z)
+    assert np.array_equal(r, r0) and np.array_equal(J, J0)
+    assert np.array_equal(system.residual(Z), r0)
 
 
 def test_stuck_start_fails_without_stepping(monkeypatch):
