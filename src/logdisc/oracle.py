@@ -106,32 +106,27 @@ class _LagrangeSystem:
         import numpy as np
         nx, k = self.nx, self.k
         jg = v[:, nx + k:self.n_first].reshape(len(Z), k, nx)
+        if not k:
+            return v[:, :nx], jg
         lam = Z[:, nx:]
         r_x = v[:, :nx] + sum(lam[:, q, None] * jg[:, q] for q in range(k))
         return np.concatenate([r_x, v[:, nx:nx + k]], axis=1), jg
 
     def residual(self, Z):
-        if not self.k:
-            return self.first(Z)
         return self._residual(Z, self.first(Z[:, :self.nx]))[0]
-
-    def newton_system(self, Z):
-        """Residuals r and Jacobians J at the rows of Z; with k = 0, the
-        gradient and the Hessian of F, read off one evaluation."""
-        if self.k:
-            return self.linearize(Z)[:2]
-        nx, v = self.nx, self.both(Z)
-        return v[:, :nx], v[:, self.n_first:].reshape(len(Z), nx, nx)
 
     def linearize(self, Z):
         """Residuals r, Jacobians J, Hessians of the Lagrangian
         F + sum lambda_q g_q in x, and constraint Jacobians at the rows
-        of Z."""
+        of Z. With k = 0, r and J are the gradient and the Hessian of F,
+        read off one evaluation."""
         import numpy as np
         n, nx, k = len(Z), self.nx, self.k
         v = self.both(Z[:, :nx])
         r, jg = self._residual(Z, v)
         h = v[:, self.n_first:].reshape(n, k + 1, nx, nx)
+        if not k:
+            return r, h[:, 0], h[:, 0], jg
         lam = Z[:, nx:]
         hess = h[:, 0] + sum(lam[:, q, None, None] * h[:, q + 1]
                              for q in range(k))
@@ -226,7 +221,7 @@ def _newton(system, Z, ball_radius):
     active = np.arange(len(Z))
     stuck = np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
     for _ in range(NEWTON_STEPS):
-        r, J = system.newton_system(za)
+        r, J, _, _ = system.linearize(za)
         base = _norms(r)
         done = base < NEWTON_TOL
         if done.any():

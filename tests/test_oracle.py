@@ -188,15 +188,14 @@ def test_batched_finder_matches_per_start_reference(a2, e6):
 
 def test_one_newton_batch_per_query(monkeypatch, a2):
     # every start of the budget runs in one _newton call, also where the
-    # first mu starts give all mu points (x1 = 1, then x1 = -1, on seed 1):
-    # those rows are then the reported points, in start order
+    # first mu starts give all mu points (x1 = 1, then x1 = -1, on seed 1)
     vt = VarTable(("x1", "x2"), ("u",))
     circle = parse_poly("x1^2 + x2^2 - 1", vt)
     calls = []
 
     def spy(system, Z, ball_radius):
-        calls.append(_newton(system, Z, ball_radius))
-        return calls[-1]
+        calls.append(len(Z))
+        return _newton(system, Z, ball_radius)
 
     monkeypatch.setattr(oracle, "_newton", spy)
     cases = [
@@ -208,12 +207,8 @@ def test_one_newton_batch_per_query(monkeypatch, a2):
     ]
     for F, point, mu, cons, seed in cases:
         calls.clear()
-        rep = find_critical_points(F, point, mu, constraints=cons, seed=seed)
-        assert len(calls) == 1
-        assert len(calls[0][0]) == 200 * max(mu, 1)
-    Z, ok, _ = calls[0]
-    assert ok[:2].all()
-    assert [p[0] for p in rep.points] == [tuple(z) for z in Z[:2]]
+        find_critical_points(F, point, mu, constraints=cons, seed=seed)
+        assert calls == [200 * max(mu, 1)]
 
 
 def test_damping_halves_until_the_residual_does_not_grow():
@@ -304,17 +299,6 @@ def test_damping_trial_batches_are_capped_by_points():
     t = _damping(system, Z, step, base)
     assert sizes == [rows, 10 * rows, 10 * (h > 10).sum(), 9 * (h > 20).sum()]
     assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
-
-
-def test_gradient_step_equals_linearize():
-    vt = VarTable(("x1", "x2"), ("u",))
-    system = _LagrangeSystem(parse_poly("x1^4 - 3*x1^2*x2 + x2^3 + u", vt),
-                             {"u": Fraction(1, 3)}, ())
-    Z = np.random.default_rng(7).uniform(-3, 3, (50, 2))
-    r, J = system.newton_system(Z)
-    r0, J0, _, _ = system.linearize(Z)
-    assert np.array_equal(r, r0) and np.array_equal(J, J0)
-    assert np.array_equal(system.residual(Z), r0)
 
 
 def test_stuck_start_fails_without_stepping(monkeypatch):
