@@ -8,8 +8,12 @@ monomial set, so a batch of points is evaluated with one matrix product, and
 each Newton step makes one stacked call to ``np.linalg.solve``. The whole
 start budget runs as one batch, every start on its own row; the points are
 taken in start order, so the batch changes the cost, not the points. A
-start whose line search rejects every step length is stuck and stops with
-failure, like one with a singular Jacobian.
+start whose line search rejects every step length 1, 1/2, ..., 2^-9 is
+stuck and stops with failure, like one with a singular Jacobian: a damped
+Newton iteration whose damping factor falls below a fixed floor is not
+converging (Deuflhard, "Newton Methods for Nonlinear Problems", 2004,
+ch. 3). The line search evaluates t = 1 for every start, and then the
+other lengths for the starts that rejected it in one further batch.
 
 The grid oracle's signs are exact: a float64 evaluation with a rigorous
 error bound settles almost every grid point, and the others are evaluated
@@ -29,10 +33,9 @@ DEDUP_FACTOR = 1e-6
 START_BUDGET_PER_MU = 200
 DEFAULT_BALL = 10.0
 NEWTON_STEPS = 80
-LINE_SEARCH_HALVINGS = 30
+LINE_SEARCH_HALVINGS = 10
 DIVERGENCE_FACTOR = 50
 GRID_DOUBLINGS = 6
-_TRIAL_POINTS = 2048   # line-search trial points per residual evaluation
 
 
 @dataclass
@@ -173,34 +176,31 @@ def _solve_steps(J, r):
 
 
 def _norms(a):
-    """Row norms of a real array, as ``np.linalg.norm(a, axis=1)``."""
+    """Row norms of a real array, summed column by column; over at most
+    three columns bitwise ``np.linalg.norm(a, axis=1)``."""
     import numpy as np
-    return np.sqrt(np.add.reduce(a * a, axis=1))
+    sq = a[:, 0] * a[:, 0]
+    for i in range(1, a.shape[1]):
+        sq += a[:, i] * a[:, i]
+    return np.sqrt(sq)
 
 
 def _damping(system, Z, step, base):
     """Step lengths against overshoot: per row the first t in 1, 1/2, ...,
     2^-(LINE_SEARCH_HALVINGS - 1) with ||r(z - t step)|| <= base, else
-    2^-LINE_SEARCH_HALVINGS. Rows that reject t = 1 try the next
-    max(10, _TRIAL_POINTS // rows) halvings per trial batch, where rows
-    counts the rows that rejected every length so far: a few rows try all
-    the halvings in one batch, and many try 10 each."""
+    2^-LINE_SEARCH_HALVINGS, which marks the row stuck. Every row tries
+    t = 1, and the rows that reject it try all the other lengths in one
+    batch."""
     import numpy as np
     t = np.ones(len(Z))
     rest = np.flatnonzero(~(_norms(system.residual(Z - step)) <= base))
-    lo = 1
-    while len(rest) and lo < LINE_SEARCH_HALVINGS:
-        hi = min(lo + max(10, _TRIAL_POINTS // len(rest)),
-                 LINE_SEARCH_HALVINGS)
-        ts = np.ldexp(1.0, -np.arange(lo, hi))
+    if len(rest):
+        ts = np.ldexp(1.0, -np.arange(1, LINE_SEARCH_HALVINGS))
         trial = Z[rest, None] - ts[None, :, None] * step[rest, None]
         accept = (_norms(system.residual(trial.reshape(-1, Z.shape[1])))
                   .reshape(len(rest), -1) <= base[rest, None])
-        hit = accept.any(axis=1)
-        t[rest[hit]] = ts[accept[hit].argmax(axis=1)]
-        rest = rest[~hit]
-        lo = hi
-    t[rest] = np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
+        t[rest] = np.where(accept.any(axis=1), ts[accept.argmax(axis=1)],
+                           np.ldexp(1.0, -LINE_SEARCH_HALVINGS))
     return t
 
 
@@ -210,10 +210,10 @@ def _newton(system, Z, ball_radius):
 
     Per start this is: at most NEWTON_STEPS steps; stop with success when
     ||r(z)|| < NEWTON_TOL; step length t = 1, halved up to
-    LINE_SEARCH_HALVINGS - 1 times until ||r(z - t step)|| <= ||r(z)||;
-    stop with failure on a singular Jacobian, when every step length is
-    rejected (the start is stuck; it is not stepped), or when |x| exceeds
-    DIVERGENCE_FACTOR * ball_radius."""
+    LINE_SEARCH_HALVINGS - 1 times (down to 2^-9) until
+    ||r(z - t step)|| <= ||r(z)||; stop with failure on a singular
+    Jacobian, when every step length is rejected (the start is stuck; it
+    is not stepped), or when |x| exceeds DIVERGENCE_FACTOR * ball_radius."""
     import numpy as np
     Z = za = Z.copy()
     ok = np.zeros(len(Z), dtype=bool)

@@ -254,6 +254,31 @@ def test_oracle_check_command(capsys):
     assert doc["oracle"]["chi_agree"] is True
 
 
+@pytest.mark.parametrize("family,params,count,signed", [
+    # all mu critical points real
+    ("d5", "u=4/3,a=0,b=-1/5,c=-2/5,d=-3", 5, 1),
+    ("d5", "u=0,a=-1/5,b=0,c=-1/2,d=-5/3", 5, -3),
+    ("k2", "u=-1,t1=0,t2=5/2", 3, 3),
+    ("k2", "u=1,t1=0,t2=11/7", 3, 3),
+    # fewer: the whole start budget is spent
+    ("d5", "u=-11/7,a=3/2,b=7/4,c=1,d=1", 1, 1),
+    ("d5", "u=-1,a=0,b=3/4,c=1/2,d=5/3", 3, -3),
+    ("k2", "u=-1,t1=1/2,t2=4/7", 1, 1),
+    ("k2", "u=-10/7,t1=-1,t2=3/5", 1, 1),
+])
+def test_oracle_check_finds_every_real_point(capsys, family, params, count,
+                                             signed):
+    # benchmark points of both kinds on a hypersurface (D5) and a complete
+    # intersection (k = 2): the finder misses no real critical point
+    code, out, _ = run(capsys, "oracle-check",
+                       f"perfbench/families/{family}.ls", "--params", params,
+                       "--json")
+    assert code == 0
+    doc = json.loads(out)["oracle"]
+    assert doc["agree"] is True
+    assert (doc["count"], doc["signed"]) == (count, signed)
+
+
 def test_invalid_kind(tmp_path, capsys):
     bad = tmp_path / "bad.ls"
     bad.write_text("kind = nonsense\nx_vars = [x]\nparams = [u]\n")

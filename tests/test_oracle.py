@@ -8,7 +8,8 @@ from logdisc import oracle
 from logdisc.inertia import SymMatrixQ, critical_count
 from logdisc.oracle import (LINE_SEARCH_HALVINGS, NEWTON_TOL, _damping,
                             _exact_eval_grid, _LagrangeSystem, _newton,
-                            _solve_steps, find_critical_points, grid_euler)
+                            _norms, _solve_steps, find_critical_points,
+                            grid_euler)
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable
 
@@ -132,7 +133,7 @@ def _per_start_reference(F, assignment, mu, constraints=(), seed=0,
             except np.linalg.LinAlgError:
                 break
             t = 1.0
-            for _ in range(30):
+            for _ in range(LINE_SEARCH_HALVINGS):
                 if np.linalg.norm(system(z - t * step)) <= np.linalg.norm(r):
                     break
                 t /= 2
@@ -213,15 +214,16 @@ def test_one_newton_batch_per_query(monkeypatch, a2):
 
 def test_damping_halves_until_the_residual_does_not_grow():
     # r(x) = x: from x = 1 the step 10 is first accepted at t = 1/8, and
-    # a bound of 0 is never met, which leaves the step at t = 2^-30
+    # a bound of 0 is never met, which marks the row stuck with
+    # t = 2^-LINE_SEARCH_HALVINGS
     vt = VarTable(("x",), ("u",))
     system = _LagrangeSystem(parse_poly("1/2*x^2 + u", vt),
                              {"u": Fraction(0)}, ())
     Z = np.ones((3, 1))
     step = np.array([[1.0], [10.0], [10.0]])
     base = np.array([1.0, 1.0, 0.0])
-    assert _damping(system, Z, step, base).tolist() == [1.0, 0.125,
-                                                         2.0 ** -30]
+    assert _damping(system, Z, step, base).tolist() == [
+        1.0, 0.125, 2.0 ** -LINE_SEARCH_HALVINGS]
 
 
 def _one_batch_damping(system, Z, step, base):
@@ -250,18 +252,20 @@ def test_blocked_damping_matches_one_batch():
     assert t[-1] == np.ldexp(1.0, -LINE_SEARCH_HALVINGS)
     assert t[-2] == np.ldexp(1.0, -(LINE_SEARCH_HALVINGS - 1))
     assert len(set(t.tolist())) == LINE_SEARCH_HALVINGS + 1
-    # a two-variable system with random rows and steps
+    # a two-variable system with random rows, and steps scaled by up to
+    # 2^(LINE_SEARCH_HALVINGS + 9)
     vt = VarTable(("x1", "x2"), ("u",))
     system = _LagrangeSystem(parse_poly("x1^4 - 3*x1^2*x2 + x2^3 + u", vt),
                              {"u": Fraction(1, 3)}, ())
     rng = np.random.default_rng(5)
     Z = rng.uniform(-3, 3, (200, 2))
     step = rng.uniform(-1, 1, (200, 2)) * np.ldexp(1.0, rng.integers(
-        0, 40, (200, 1)))
+        0, LINE_SEARCH_HALVINGS + 10, (200, 1)))
     base = np.linalg.norm(system.residual(Z), axis=1)
     t = _damping(system, Z, step, base)
     assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
-    assert len(set(t.tolist())) > 10
+    # every step length is taken by some row, and some rows are stuck
+    assert len(set(t.tolist())) == LINE_SEARCH_HALVINGS + 1
 
 
 def _trial_sizes(system):
@@ -276,36 +280,33 @@ def _trial_sizes(system):
     return sizes
 
 
-def test_damping_trial_batches_are_capped_by_points():
+def test_damping_tries_the_rejecting_rows_in_one_batch():
     # r(x) = x from x = 1 with bound 1, as above: the step 2^(h+1) is
-    # first accepted after h halvings
+    # first accepted after h halvings. One residual evaluation holds t = 1
+    # for every row, and one more every other length for the rows that
+    # reject it, however many they are
     vt = VarTable(("x",), ("u",))
     system = _LagrangeSystem(parse_poly("1/2*x^2 + u", vt),
                              {"u": Fraction(0)}, ())
     sizes = _trial_sizes(system)
-    # four rows reject t = 1: one trial batch holds all their halvings
-    step = np.ldexp(1.0, [[0], [5], [20], [29], [40]])
-    Z, base = np.ones_like(step), np.ones(len(step))
-    t = _damping(system, Z, step, base)
-    assert sizes == [5, 4 * (LINE_SEARCH_HALVINGS - 1)]
-    assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
-    # more than _TRIAL_POINTS // 10 rows reject t = 1: each tries 10
-    # halvings per batch until few enough are left for the rest at once
-    rows = oracle._TRIAL_POINTS // 10 + 100
-    h = np.arange(rows) % (LINE_SEARCH_HALVINGS + 2) + 1
-    step = np.ldexp(1.0, h + 1)[:, None]
-    Z, base = np.ones_like(step), np.ones(rows)
-    sizes.clear()
-    t = _damping(system, Z, step, base)
-    assert sizes == [rows, 10 * rows, 10 * (h > 10).sum(), 9 * (h > 20).sum()]
-    assert t.tolist() == _one_batch_damping(system, Z, step, base).tolist()
+    for rejecting in (4, 304):
+        # one row accepts t = 1; the others accept every length, or none
+        h = np.r_[0, np.arange(rejecting) % LINE_SEARCH_HALVINGS + 1]
+        step = np.ldexp(1.0, h + 1)[:, None]
+        Z, base = np.ones_like(step), np.ones(len(step))
+        sizes.clear()
+        t = _damping(system, Z, step, base)
+        assert sizes == [len(step), (LINE_SEARCH_HALVINGS - 1) * rejecting]
+        assert t.tolist() == _one_batch_damping(system, Z, step,
+                                                base).tolist()
 
 
 def test_stuck_start_fails_without_stepping(monkeypatch):
-    # r(x) = x^2 + 1 from x = 1e-5: the Newton step is about 5e4, and
-    # only t < 2^-31 would keep |r| from growing, so the start fails at its
-    # first step and is left where it was (stepping it by 2^-30 would put
-    # it where t = 2^-28 is accepted, and it would crawl on)
+    # r(x) = x^2 + 1: from x = 1e-5 the Newton step is about 5e4, and only
+    # t < 2^-31 would keep |r| from growing; from x = 2^-6 the step is
+    # 32 + 2^-7, first accepted at t = 2^-11. Both are below the floor of
+    # 2^-(LINE_SEARCH_HALVINGS - 1), so the start fails at its first step
+    # and is left where it was
     vt = VarTable(("x",), ("u",))
     system = _LagrangeSystem(parse_poly("1/3*x^3 + x + u", vt),
                              {"u": Fraction(0)}, ())
@@ -316,10 +317,25 @@ def test_stuck_start_fails_without_stepping(monkeypatch):
         return _damping(*args)
 
     monkeypatch.setattr(oracle, "_damping", spy)
-    Z, ok, _ = _newton(system, np.array([[1e-5]]), 10.0)
-    assert len(calls) == 1
-    assert not ok[0]
-    assert Z[0, 0] == 1e-5
+    for x0 in (1e-5, 2.0 ** -6):
+        calls.clear()
+        Z, ok, _ = _newton(system, np.array([[x0]]), 10.0)
+        assert len(calls) == 1
+        assert not ok[0]
+        assert Z[0, 0] == x0
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_norms_equal_linalg_norm_bitwise(cols):
+    rng = np.random.default_rng(cols)
+    a = rng.standard_normal((200, cols)) * np.ldexp(1.0, rng.integers(
+        -600, 600, (200, cols)))
+    a[:3] = 0.0
+    a[3:6, 0] = (np.inf, -np.inf, np.nan)
+    a[6:9, -1] = (np.nan, np.inf, 0.0)
+    with np.errstate(all="ignore"):
+        assert (_norms(a).tobytes()
+                == np.linalg.norm(a, axis=1).tobytes())
 
 
 def test_singular_jacobian_drops_only_its_start():
