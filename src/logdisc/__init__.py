@@ -8,8 +8,8 @@ from .groebner import (ParamIdeal, GroebnerBasis, QuotientBasis,
                        ReductionCertificate, buchberger, reduce_poly,
                        standard_basis, coordinates, NonConstantScaleError,
                        InfiniteQuotientError)
-from .ci import (CISpec, MinorIdeal, CITables, GMCoefficients, minor_ideal,
-                 ci_tables, gm_coefficients, ci_weights, hyper_to_ci,
+from .ci import (CISpec, CITables, GMCoefficients, minor_ideal, ci_tables,
+                 gm_coefficients, ci_weights, hyper_to_ci,
                  NotQuasihomogeneousError)
 from .hyper import (DeformationSpec, WeightSystem, LogMatrix, TraceForms,
                     derive_weights, mul_tables, log_matrix, trace_forms,

@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from .groebner import ParamIdeal, buchberger, coordinates, standard_basis
-from .matrix import PolyMatrix, det_bareiss
+from .matrix import PolyMatrix, det_bareiss, mat_vec
 from .poly import Polynomial
 
 
@@ -159,17 +159,9 @@ def _u_terms(p, vt, uname):
     return coeff
 
 
-@dataclass
-class MinorIdeal:
-    """All k x k minors of the Jacobian in x, combined with F_2..F_k."""
-
-    minors: list
-    combined: ParamIdeal
-
-
 def minor_ideal(spec):
-    """Minor ideal of the projection: maximal minors of the x-Jacobian of
-    the maps, together with the later maps themselves."""
+    """Minor ideal of the projection: the nonzero maximal minors of the
+    x-Jacobian of the maps, together with the later maps themselves."""
     vt = spec.vt
     n = vt.nx
     k = spec.k
@@ -180,8 +172,8 @@ def minor_ideal(spec):
     for cols in combinations(range(n), k):
         sub = PolyMatrix(vt, [[jac[q][c] for c in cols] for q in range(k)])
         minors.append(det_bareiss(sub))
-    gens = [m for m in minors if not m.is_zero] + list(spec.maps[1:])
-    return MinorIdeal(minors, ParamIdeal(tuple(gens)))
+    return ParamIdeal([m for m in minors if not m.is_zero]
+                      + list(spec.maps[1:]))
 
 
 def structure_constants(gb, qb, uname):
@@ -214,13 +206,21 @@ def tau_form(tau, coeffs):
     """The symmetric form sum_l coeffs_l * tau^l on row lists of polynomials
     or rationals.
 
-    With coeffs = zeta it is the trace form T, T_ij = tr(e_i e_j). With
-    coeffs = T h, h the coordinates of a polynomial, it is the trace form
-    of multiplication by that polynomial: B^H when h is the Hessian.
+    With coeffs = zeta it is the trace form T, T_ij = tr(e_i e_j); with
+    coeffs = T g it is the trace form of g (``trace_form``).
     """
     mu = len(tau)
     return [[sum(c * t[i][j] for c, t in zip(coeffs, tau)) for j in range(mu)]
             for i in range(mu)]
+
+
+def trace_form(tau, T, g):
+    """The trace form tr(g * e_i * e_j) = sum_l (T g)_l * tau^l_ij of the
+    element with coordinates g, on row lists of polynomials or rationals:
+    over the parameter polynomials, or over Q at a point. Its signature
+    counts the sign changes of g over the real points; B^H is the trace
+    form of the Hessian determinant."""
+    return tau_form(tau, mat_vec(T, g))
 
 
 def multiplication_rows(tau, coeffs):
@@ -255,7 +255,7 @@ class CITables:
     @cached_property
     def T(self):
         """The trace form T(t), built on first use: the point commands form
-        T over Q at their point instead."""
+        T over Q from tau and zeta at their point instead."""
         return PolyMatrix(self.phi.vt,
                           tau_form([t.entries for t in self.tau], self.zeta))
 
@@ -295,10 +295,10 @@ def monomial_hint(basis):
     return hint
 
 
-def ci_tables(spec, mi, basis_hint=None):
+def ci_tables(spec, basis_hint=None):
     """Multiplication tables on the quotient by the minor ideal; the matrix
     P whose determinant cuts out the discriminant is built on first use."""
-    gb = buchberger(mi.combined)
+    gb = buchberger(minor_ideal(spec))
     qb = standard_basis(gb, ordering_hint=basis_hint)
     tau, zeta = structure_constants(gb, qb, spec.u)
     return CITables(qb, gb, tau, zeta, spec.maps[0])

@@ -12,10 +12,11 @@ from functools import cached_property
 
 from . import ci as ci_mod
 from . import hyper as hy
-from .groebner import NonConstantScaleError, InfiniteQuotientError
+from .groebner import (NonConstantScaleError, InfiniteQuotientError,
+                       coordinates)
 from .inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                       euler_characteristics, inertia)
-from .matrix import det_bareiss, mat_vec
+from .matrix import det_bareiss
 from .oracle import find_critical_points, grid_euler
 from .parse import PolyParseError, parse_poly
 from .poly import VarTable
@@ -114,13 +115,13 @@ class LoadedSpec:
     @cached_property
     def algebra(self):
         if self.kind == "hypersurface":
-            return hy.mul_tables(self.spec)
-        mi = ci_mod.minor_ideal(self.cspec)
+            return self.spec.algebra
+        cspec = self.cspec  # the maps' input errors come before the basis's
         hint = None
         if self.basis_text is not None:
             hint = ci_mod.monomial_hint([parse_poly(b, self.vt)
                                          for b in self.basis_text])
-        return ci_mod.ci_tables(self.cspec, mi, basis_hint=hint)
+        return ci_mod.ci_tables(cspec, basis_hint=hint)
 
     @cached_property
     def logm(self):
@@ -168,21 +169,29 @@ def _triple(tri):
 
 
 def _at_point(algebra, args, sign):
-    """The --params point, and tau, T and sign * c there, c the first map's
-    coordinates (a hypersurface takes -c, F's). The algebra and c are built
-    before the point is read."""
-    algebra.first_map_coords
-    point = parse_param_point(args.params or "", algebra.phi.vt)
-    tau, T, c = hy.forms_at(algebra, point)
-    return point, tau, T, [sign * e for e in c]
+    """The --params point, and tau, T and sign * c there as rationals, c the
+    first map's coordinates (a hypersurface takes -c, F's). Evaluation is a
+    ring homomorphism, so T is the evaluated parametric T. The algebra and
+    c are built before the point is read."""
+    c = algebra.first_map_coords
+    vt = algebra.phi.vt
+    point = parse_param_point(args.params or "", vt)
+    at = vt.resolve(point)
+    tau = [t.values(point) for t in algebra.tau]
+    T = ci_mod.tau_form(tau, [z.value_at(at) for z in algebra.zeta])
+    return point, tau, T, [sign * e.value_at(at) for e in c]
 
 
-def _euler_at(loaded, tau, T, f, point):
-    """B^H, the trace form of F h and the Euler characteristics at one
-    point; f holds F's coordinates there."""
-    bh, bhf = map(SymMatrixQ,
-                  hy.hessian_forms_at(loaded.spec, tau, T, f, point))
-    return bh, bhf, euler_characteristics(bh, bhf, loaded.vt.nx)
+def _euler_at(spec, tau, T, f, point):
+    """The Euler characteristics at one point from B^H and the trace form
+    of F h there, f holding F's coordinates. The Hessian is specialised
+    before its determinant is taken."""
+    at = spec.vt.resolve(point)
+    h = coordinates(hy.hessian_determinant(spec.F.evaluate(point)),
+                    spec.gb, spec.basis)
+    bh, bhf = hy.hessian_forms(tau, T, f, [e.value_at(at) for e in h])
+    return euler_characteristics(SymMatrixQ(bh), SymMatrixQ(bhf),
+                                 spec.vt.nx)
 
 
 def tables(loaded, args):
@@ -233,25 +242,26 @@ def traceforms(loaded, args):
 
 def euler(loaded, args):
     point, tau, T, f = _at_point(loaded.spec.algebra, args, -1)
-    bh, bhf, rep = _euler_at(loaded, tau, T, f, point)
+    rep = _euler_at(loaded.spec, tau, T, f, point)
     return {"mu": loaded.spec.mu,
-            "inertia": {"BH": _triple(inertia(bh)),
-                        "BHF": _triple(inertia(bhf))},
+            "inertia": {"BH": _triple(rep.BH), "BHF": _triple(rep.BHF)},
             "chi": {"ge": rep.chi_ge, "le": rep.chi_le, "eq": rep.chi_eq,
-                    "sign_BH": rep.sign_BH, "sign_BHF": rep.sign_BHF},
+                    "sign_BH": rep.BH.signature,
+                    "sign_BHF": rep.BHF.signature},
             "note": "ball assumed to contain all real critical points"}
 
 
 def count(loaded, args):
     """`count` (hypersurfaces) takes the signature of the trace form of F,
     `ci-count` that of the first map F_1 - u."""
-    sign = -1 if args.command == "count" else 1
-    _, tau, T, g = _at_point((loaded.spec if sign < 0 else loaded).algebra,
-                             args, sign)
-    st = SymMatrixQ(ci_mod.tau_form(tau, mat_vec(T, g)))
-    signed = critical_count(st)
-    return {"mu": loaded.algebra.mu, "inertia": _triple(inertia(st)),
-            "count": signed}
+    sign = 1
+    if args.command == "count":
+        loaded.spec  # refuses a complete-intersection input
+        sign = -1
+    _, tau, T, g = _at_point(loaded.algebra, args, sign)
+    tri = inertia(SymMatrixQ(ci_mod.trace_form(tau, T, g)))
+    return {"mu": loaded.algebra.mu, "inertia": _triple(tri),
+            "count": critical_count(tri)}
 
 
 def ci_discriminant(loaded, args):
@@ -276,14 +286,14 @@ def oracle_check(loaded, args):
     variables), on the maps for a complete intersection."""
     hyper = loaded.kind == "hypersurface"
     point, tau, T, f = _at_point(loaded.algebra, args, -1 if hyper else 1)
-    exact = critical_count(SymMatrixQ(ci_mod.tau_form(tau, mat_vec(T, f))))
+    exact = critical_count(inertia(SymMatrixQ(ci_mod.trace_form(tau, T, f))))
     maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
     rep = find_critical_points(maps[0], point, loaded.algebra.mu,
                                ball_radius=args.ball, constraints=maps[1:])
     oc = {"count": len(rep.points), "signed": rep.signed_count,
           "exact_signature": exact, "agree": rep.signed_count == exact}
     if hyper and loaded.vt.nx <= 2:
-        chi = _euler_at(loaded, tau, T, f, point)[2]
+        chi = _euler_at(loaded.spec, tau, T, f, point)
         g = grid_euler(maps[0], point, ball_radius=args.ball,
                        resolution=args.resolution)
         oc["grid"] = {"resolution": g.resolution, "stable": g.stable,

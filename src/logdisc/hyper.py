@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ci import (CISpec, NotQuasihomogeneousError, WeightSystem, ci_tables,
-                 minor_ideal, monomial_hint, tau_form, traces, weight_system)
+                 monomial_hint, trace_form, weight_system)
 from .groebner import coordinates
 from .matrix import PolyMatrix, det_bareiss, discriminant, mat_vec
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
@@ -55,9 +55,8 @@ class DeformationSpec:
         F = f0
         for name, b in zip(params, basis_monomials):
             F = F + Polynomial.var(vt, name) * b
-        cspec = CISpec((-F,), params)
         return cls(f0, params, F,
-                   ci_tables(cspec, minor_ideal(cspec), basis_hint=hint))
+                   ci_tables(CISpec((-F,), params), basis_hint=hint))
 
     @property
     def vt(self):
@@ -83,7 +82,9 @@ class DeformationSpec:
 
 def mul_tables(spec):
     """The quotient algebra built with the spec: structure constants tau,
-    traces zeta, the trace form T and the matrix P."""
+    traces zeta, the trace form T and the matrix P. Callers read
+    ``spec.algebra``; this stays only for the benchmark's tracer, which
+    wraps it by name, until per-layer counters replace the tracer."""
     return spec.algebra
 
 
@@ -124,49 +125,31 @@ class TraceForms:
     BHF: PolyMatrix
 
 
-def _hessian(F):
+def hessian_determinant(F):
+    """Determinant of F's Hessian in the x-variables: of the parametric F,
+    or of F specialised at a point."""
     xs = F.vt.x_vars
-    return PolyMatrix(F.vt, [[F.diff(a).diff(b) for b in xs] for a in xs])
+    return det_bareiss(PolyMatrix(F.vt, [[F.diff(a).diff(b) for b in xs]
+                                         for a in xs]))
 
 
-def hessian_determinant(spec):
-    return det_bareiss(_hessian(spec.F))
+def hessian_forms(tau, T, f, h):
+    """B^H and the trace form of f h, f and h the coordinates of F (or of
+    a multiple of F) and of the Hessian determinant, on row lists as
+    ``trace_form``. (f h)_l = sum_ij f_i h_j tau^l_ij."""
+    fh = [sum(x * y for x, y in zip(f, mat_vec(t, h))) for t in tau]
+    return trace_form(tau, T, h), trace_form(tau, T, fh)
 
 
 def trace_forms(spec, tables, logm):
-    """Trace forms tr(g * e_i * e_j) = sum_l (T g)_l * tau^l_ij of the
-    elements g with coordinates 1 (T), h (B^H, h the Hessian determinant)
-    and sigma^T h (B^HF: the coordinates of wF * F * h)."""
-    tau = [t.entries for t in tables.tau]
+    """Trace forms of the elements 1 (T), h (B^H, h the Hessian
+    determinant) and wF * F * h (B^HF), wF * F's coordinates being row 0
+    of sigma (e_0 = 1)."""
+    h = coordinates(hessian_determinant(spec.F), spec.gb, spec.basis)
     T = tables.T
-    hvec = coordinates(hessian_determinant(spec), spec.gb, spec.basis)
-    fh = mat_vec(list(zip(*logm.sigma.entries)), hvec)
-    BH, BHF = (PolyMatrix(spec.vt, tau_form(tau, mat_vec(T.entries, g)))
-               for g in (hvec, fh))
+    BH, BHF = (PolyMatrix(spec.vt, m) for m in hessian_forms(
+        [t.entries for t in tables.tau], T.entries, logm.sigma.entries[0], h))
     return TraceForms(T, BH, BHF)
-
-
-def forms_at(tables, point):
-    """tau, T and the first map's coordinates c at one parameter point, as
-    rationals. Evaluation is a ring homomorphism, so T is the evaluated
-    parametric T; the trace form of g there is tau_form(tau, mat_vec(T, g)).
-    For a hypersurface, -c are F's coordinates."""
-    at = tables.phi.vt.resolve(point)
-    tau = [t.values(point) for t in tables.tau]
-    coords = [c.value_at(at) for c in tables.first_map_coords]
-    return tau, tau_form(tau, traces(tau)), coords
-
-
-def hessian_forms_at(spec, tau, T, f, point):
-    """B^H and the trace form of F h at one parameter point from the
-    rationals of forms_at, f being F's coordinates there (-c). The Hessian
-    is specialised before its determinant is taken."""
-    h = det_bareiss(_hessian(spec.F.evaluate(point)))
-    at = spec.vt.resolve(point)
-    hvec = [c.value_at(at) for c in coordinates(h, spec.gb, spec.basis)]
-    # (f h)_l = sum_ij f_i h_j tau^l_ij
-    fh = [sum(x * y for x, y in zip(f, mat_vec(t, hvec))) for t in tau]
-    return tuple(tau_form(tau, mat_vec(T, g)) for g in (hvec, fh))
 
 
 def maxwell_bifurcation(tables, uname):

@@ -98,10 +98,9 @@ def inertia(m):
     return InertiaTriple(n_plus, n_minus, n_zero)
 
 
-def critical_count(sigma_t):
-    """Signed count of real critical points: the signature of Sigma*T (or
-    P*T) at a parameter point off the discriminant."""
-    tri = inertia(sigma_t)
+def critical_count(tri):
+    """Signed count of real critical points: the signature of the inertia
+    triple of Sigma*T (or P*T) at a parameter point off the discriminant."""
     if tri.degenerate:
         raise DegeneratePointError(
             "the trace form is degenerate here (n_zero=%d); the parameter "
@@ -114,13 +113,14 @@ class ChiReport:
     chi_ge: int
     chi_le: int
     chi_eq: int
-    sign_BH: int
-    sign_BHF: int
+    BH: InertiaTriple
+    BHF: InertiaTriple
 
 
 def euler_characteristics(bh, bhf, n):
     """Euler characteristics of the regions F >= 0, F <= 0 and F = 0 in a
-    ball containing all real critical points.
+    ball containing all real critical points, with the inertia of B^H and
+    B^HF they are read from.
 
     Absolute values are fixed by additivity over the ball:
     chi_ge + chi_le - chi_eq = 1. That closure holds by construction, so
@@ -143,4 +143,4 @@ def euler_characteristics(bh, bhf, n):
         b = -b
     chi_eq = 1 - a - b
     return ChiReport(chi_ge=1 - b, chi_le=1 - a, chi_eq=chi_eq,
-                     sign_BH=s_h, sign_BHF=s_hf)
+                     BH=ti_h, BHF=ti_hf)

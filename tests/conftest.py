@@ -53,7 +53,7 @@ class Bundle:
         basis = [parse_poly(b, self.vt) for b in basis_texts]
         self.spec = hyper.DeformationSpec.build(self.f0, basis, tuple(s_vars))
         self.ws = hyper.derive_weights(self.f0, self.spec.basis)
-        self.tables = hyper.mul_tables(self.spec)
+        self.tables = self.spec.algebra
         self.logm = hyper.log_matrix(self.spec, self.ws, self.tables)
         self._tf = None
 

@@ -45,7 +45,7 @@ def test_criterion_01_tables_runtime(ex1):
     f0 = parse_poly("x1^3 + x2^3", vt)
     basis = [parse_poly(t, vt) for t in ("1", "x2", "x1", "x1*x2")]
     spec = hyper.DeformationSpec.build(f0, basis, ("u", "d", "c", "b"))
-    tables = hyper.mul_tables(spec)
+    tables = spec.algebra
     elapsed = time.monotonic() - start
     assert tables.tau[0] == mat(ex1, [
         ["1", "0", "0", "0"],
@@ -152,7 +152,7 @@ def test_criterion_05_deep_example_euler(e6):
             bh = eval_sym(e6.tf.BH, point)
             bhf = eval_sym(e6.tf.BHF, point)
             rep = euler_characteristics(bh, bhf, 2)
-            assert (rep.sign_BH, rep.sign_BHF) == (0, 0)
+            assert (rep.BH.signature, rep.BHF.signature) == (0, 0)
             assert (rep.chi_ge, rep.chi_le, rep.chi_eq) == (1, 1, 1)
             g = grid_euler(e6.spec.F, point)
             assert g.stable
@@ -194,8 +194,7 @@ def test_criterion_07_weierstrass_euler_invariants(ex1, e6, a1, a2):
             assert wt == mu * wu
         # the recast one-map family is +/-monic in u of degree mu
         spec = ci.hyper_to_ci(b.spec)
-        mi = ci.minor_ideal(spec)
-        tables = ci.ci_tables(spec, mi, basis_hint=b.spec.basis.monomials)
+        tables = ci.ci_tables(spec, basis_hint=b.spec.basis.monomials)
         detP = det_bareiss(tables.P)
         assert detP.degree_in("u") == mu
         origin = {name: Fraction(0) for name in spec.params[1:]}
@@ -206,8 +205,7 @@ def test_criterion_07_weierstrass_euler_invariants(ex1, e6, a1, a2):
 
 def test_criterion_08_cross_pipeline_consistency(ex1):
     spec = ci.hyper_to_ci(ex1.spec)
-    mi = ci.minor_ideal(spec)
-    tables = ci.ci_tables(spec, mi, basis_hint=ex1.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=ex1.spec.basis.monomials)
     detP = det_bareiss(tables.P)
     assert ex1.logm.discriminant == detP * 81
 
@@ -243,7 +241,7 @@ def test_criterion_09_oracle_equivalence(ex1, e6):
         for point in _nondegenerate_samples(bundle, rng, count):
             total += 1
             st = eval_product(bundle.logm.sigma, bundle.tf.T, point)
-            exact = critical_count(st)
+            exact = critical_count(inertia(st))
             rep = find_critical_points(bundle.spec.F, point, bundle.spec.mu,
                                        seed=total)
             assert rep.signed_count == exact
@@ -267,8 +265,7 @@ def test_criterion_10_symmetry_suite(ex1, e6):
         for m in (b.tf.T, b.logm.sigma * b.tf.T, b.tf.BH, b.tf.BHF):
             assert is_symmetric(m)
         spec = ci.hyper_to_ci(b.spec)
-        mi = ci.minor_ideal(spec)
-        tables = ci.ci_tables(spec, mi, basis_hint=b.spec.basis.monomials)
+        tables = ci.ci_tables(spec, basis_hint=b.spec.basis.monomials)
         for w in tables.tau:
             assert is_symmetric(w)
         assert is_symmetric(tables.P * tables.T)
@@ -287,8 +284,7 @@ def test_criterion_11_connection_coefficients(request, family):
     else:
         b = request.getfixturevalue(family)
         spec, hint = ci.hyper_to_ci(b.spec), b.spec.basis.monomials
-    mi = ci.minor_ideal(spec)
-    tables = ci.ci_tables(spec, mi, basis_hint=hint)
+    tables = ci.ci_tables(spec, basis_hint=hint)
     ws = ci.ci_weights(spec)
     gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == sum(ws.f_weights)

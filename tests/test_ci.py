@@ -20,11 +20,6 @@ def k2_spec():
     return ci.CISpec(maps, ("u", "t1"))
 
 
-def pipeline(spec, hint=None):
-    mi = ci.minor_ideal(spec)
-    return mi, ci.ci_tables(spec, mi, basis_hint=hint)
-
-
 # ---------------------------------------------------------------------------
 # input validation
 
@@ -80,7 +75,7 @@ def test_hypersurface_recast_matches_log_matrix(ex1, a2, e6):
     spec = ci.hyper_to_ci(ex1.spec)
     assert spec.k == 1
     hint = ex1.spec.basis.monomials
-    mi, tables = pipeline(spec, hint=hint)
+    tables = ci.ci_tables(spec, basis_hint=hint)
     assert tables.mu == ex1.spec.mu
     # P is the normal-form log matrix up to the weight factor and sign
     assert tables.P.scale(-3) == ex1.logm.sigma
@@ -100,7 +95,7 @@ def test_hypersurface_recast_matches_log_matrix(ex1, a2, e6):
 def test_recast_discriminant_is_monic_in_u(ex1, a2):
     for b, mu in ((ex1, 4), (a2, 2)):
         spec = ci.hyper_to_ci(b.spec)
-        mi, tables = pipeline(spec, hint=b.spec.basis.monomials)
+        tables = ci.ci_tables(spec, basis_hint=b.spec.basis.monomials)
         detP = det_bareiss(tables.P)
         assert detP.degree_in("u") == mu
         origin = {name: Fraction(0) for name in spec.params[1:]}
@@ -109,7 +104,7 @@ def test_recast_discriminant_is_monic_in_u(ex1, a2):
 
 
 def test_first_map_coordinates_checked_free_of_u():
-    _, tables = pipeline(k2_spec())
+    tables = ci.ci_tables(k2_spec())
     assert len(tables.first_map_coords) == tables.mu
     u, x1 = Polynomial.var(VT2, "u"), Polynomial.var(VT2, "x1")
     # F_1 - u plus a term in u other than -u: P + u*Id is not free of u
@@ -123,7 +118,7 @@ def test_first_map_coordinates_checked_free_of_u():
 
 def test_product_with_trace_form_is_symmetric(ex1):
     spec = ci.hyper_to_ci(ex1.spec)
-    mi, tables = pipeline(spec, hint=ex1.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=ex1.spec.basis.monomials)
     assert is_symmetric(tables.P * tables.T)
 
 
@@ -133,10 +128,10 @@ def test_product_with_trace_form_is_symmetric(ex1):
 
 def test_two_map_family():
     spec = k2_spec()
-    mi = ci.minor_ideal(spec)
-    assert len(mi.minors) == 1
-    assert mi.minors[0] == parse_poly("2*x1^2 + t1*x1 - 2*x2^2", VT2)
-    tables = ci.ci_tables(spec, mi)
+    # one Jacobian minor, then the second map
+    assert ci.minor_ideal(spec).generators == (
+        parse_poly("2*x1^2 + t1*x1 - 2*x2^2", VT2), spec.maps[1])
+    tables = ci.ci_tables(spec)
     assert tables.mu == 4
     assert sorted(tables.phi.monomials) == [(0, 0), (0, 1), (0, 2), (1, 0)]
     detP, detT = det_bareiss(tables.P), det_bareiss(tables.T)
@@ -186,7 +181,7 @@ def test_weights_incompatible_maps_rejected():
 
 def test_connection_coefficients_cusp(a2):
     spec = ci.hyper_to_ci(a2.spec)
-    mi, tables = pipeline(spec, hint=a2.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=a2.spec.basis.monomials)
     ws = ci.ci_weights(spec)
     gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3
@@ -202,7 +197,7 @@ def test_connection_coefficients_divergence_identity(ex1):
     # phi_0 = 1 recovers trM0 + sum w(x_p) + weight(phi_i*phi_j) whenever
     # the product is a standard monomial
     spec = ci.hyper_to_ci(ex1.spec)
-    mi, tables = pipeline(spec, hint=ex1.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=ex1.spec.basis.monomials)
     ws = ci.ci_weights(spec)
     gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3

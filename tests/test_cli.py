@@ -97,6 +97,31 @@ def test_degenerate_point_exit_code(capsys):
     assert "degenerate" in err
 
 
+RETRY = "try perturbing the point off the discriminant/bifurcation set\n"
+N_ZERO = ("degenerate parameter point: the trace form is degenerate here "
+          "(n_zero=%d); the parameter point lies on the discriminant or "
+          "bifurcation set\n" + RETRY)
+DEGENERATE = [
+    (("count", "a2", "u=0,b=0"), N_ZERO % 2),
+    (("ci-count", "a2", "u=0,b=0"), N_ZERO % 2),
+    (("oracle-check", "a2", "u=0,b=0"), N_ZERO % 2),
+    # euler reads B^H and B^HF only, though the count form is singular too
+    (("euler", "a2", "u=0,b=0"), "degenerate parameter point: B^H or B^HF "
+     "is degenerate at this parameter point\n" + RETRY),
+    (("ci-count", "ci_k2", "u=0,t1=0"), N_ZERO % 4),
+    (("oracle-check", "ci_k2", "u=0,t1=0"), N_ZERO % 4),
+]
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("argv, expected", DEGENERATE,
+                         ids=[" ".join(a[:2]) for a, _ in DEGENERATE])
+def test_degenerate_point_message(capsys, argv, expected, fmt):
+    command, fixture, point = argv
+    assert run(capsys, command, f"{FIX}/{fixture}.ls", "--params", point,
+               *fmt) == (2, "", expected)
+
+
 def test_missing_file_exit_code(capsys):
     code, out, err = run(capsys, "discriminant", f"{FIX}/no-such-file.ls")
     assert code == 1

@@ -243,7 +243,7 @@ def test_trace_form_entries_via_multiplication_traces(ex1):
     tf = ex1.tf
     BF = ex1.logm.sigma * tf.T
     es = basis_polys(ex1.spec)
-    h = hyper.hessian_determinant(ex1.spec)
+    h = hyper.hessian_determinant(ex1.spec.F)
     F = ex1.spec.F
     mu = ex1.spec.mu
     wF = ex1.ws.wF

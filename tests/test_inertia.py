@@ -111,8 +111,8 @@ def test_block_sum_adds_inertia(m1, m2):
 
 
 def test_critical_count_signature():
-    assert critical_count(diag(3, -2, 5)) == 1
-    assert critical_count(diag(-1, -2)) == -2
+    assert critical_count(inertia(diag(3, -2, 5))) == 1
+    assert critical_count(inertia(diag(-1, -2))) == -2
 
 
 def test_critical_count_degenerate_raises(ex1):
@@ -121,7 +121,7 @@ def test_critical_count_degenerate_raises(ex1):
     sigma_t = ex1.logm.sigma * ex1.tf.T
     m = SymMatrixQ.from_poly_matrix(sigma_t, point)
     with pytest.raises(DegeneratePointError):
-        critical_count(m)
+        critical_count(inertia(m))
 
 
 def test_euler_characteristics_one_variable_well(a1):

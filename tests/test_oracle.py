@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logdisc import oracle
-from logdisc.inertia import SymMatrixQ, critical_count
+from logdisc.inertia import SymMatrixQ, critical_count, inertia
 from logdisc.oracle import (LINE_SEARCH_HALVINGS, NEWTON_TOL, _damping,
                             _exact_eval_grid, _LagrangeSystem, _newton,
                             _norms, _solve_steps, find_critical_points,
@@ -48,7 +48,8 @@ def test_signed_count_matches_exact_signature(ex1):
              "b": Fraction(2)}
     rep = find_critical_points(ex1.spec.F, point, ex1.spec.mu, seed=3)
     sigma_t = ex1.logm.sigma * ex1.tf.T
-    exact = critical_count(SymMatrixQ.from_poly_matrix(sigma_t, point))
+    exact = critical_count(inertia(SymMatrixQ.from_poly_matrix(sigma_t,
+                                                              point)))
     assert rep.signed_count == exact
     assert len(rep.points) <= ex1.spec.mu
 

@@ -3,6 +3,7 @@ evaluated at a point equal the evaluated parametric forms, and no point
 command takes a determinant of a parametric matrix except the Jacobian
 minors that generate the minor ideal."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,9 +13,10 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from logdisc import ci, cli, hyper, matrix
+from logdisc.groebner import coordinates
 from logdisc.inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                              euler_characteristics, inertia)
-from logdisc.matrix import mat_mul, mat_vec
+from logdisc.matrix import mat_mul
 from logdisc.parse import parse_poly
 from logdisc.poly import VarTable
 
@@ -51,11 +53,19 @@ def scaled(rows, k):
     return SymMatrixQ([[k * e for e in row] for row in rows])
 
 
+def at_point(tables, point, sign):
+    """tau, T and sign * c at the point, as the point commands form them."""
+    args = argparse.Namespace(params=params_text(point))
+    return cli._at_point(tables, args, sign)[1:]
+
+
 def check_hypersurface(b, path, point):
-    tau, T, c = hyper.forms_at(b.tables, point)
-    f = [-e for e in c]
-    form = ci.tau_form(tau, mat_vec(T, f))
-    bh, bhf = hyper.hessian_forms_at(b.spec, tau, T, f, point)
+    tau, T, f = at_point(b.tables, point, -1)
+    form = ci.trace_form(tau, T, f)
+    at = b.vt.resolve(point)
+    h = coordinates(hyper.hessian_determinant(b.spec.F.evaluate(point)),
+                    b.spec.gb, b.spec.basis)
+    bh, bhf = hyper.hessian_forms(tau, T, f, [e.value_at(at) for e in h])
     # -P, evaluated from the parametric P, is multiplication by F there
     minus_P = [[-e for e in row] for row in b.tables.P.values(point)]
     assert form == mat_mul(minus_P, T)
@@ -68,7 +78,7 @@ def check_hypersurface(b, path, point):
     assert (scaled(form, b.ws.wF), SymMatrixQ(bh), scaled(bhf, b.ws.wF)) \
         == (st0, bh0, bhf0)
 
-    count = outcome(critical_count, st0)
+    count = outcome(critical_count, inertia(st0))
     code, out = run_cli("count", path, "--params", params_text(point),
                         "--json")
     if count is DegeneratePointError:
@@ -88,8 +98,9 @@ def check_hypersurface(b, path, point):
         doc = json.loads(out)
         assert doc["inertia"] == {"BH": triple(bh0), "BHF": triple(bhf0)}
         assert doc["chi"] == {"ge": chi.chi_ge, "le": chi.chi_le,
-                              "eq": chi.chi_eq, "sign_BH": chi.sign_BH,
-                              "sign_BHF": chi.sign_BHF}
+                              "eq": chi.chi_eq,
+                              "sign_BH": chi.BH.signature,
+                              "sign_BHF": chi.BHF.signature}
 
 
 @settings(max_examples=15, deadline=None)
@@ -123,10 +134,6 @@ def test_e6_point_forms_equal_parametric(e6):
         check_hypersurface(e6, f"{FIX}/e6.ls", point)
 
 
-def ci_tables_of(cspec):
-    return ci.ci_tables(cspec, ci.minor_ideal(cspec))
-
-
 PARABOLA_VT = VarTable(("x1", "x2"), ("u", "t1", "t2"))
 PARABOLA = ci.CISpec(
     tuple(parse_poly(m, PARABOLA_VT)
@@ -135,12 +142,12 @@ PARABOLA = ci.CISpec(
 
 
 def check_ci(tables, path, point):
-    tau, T, c = hyper.forms_at(tables, point)
-    form = ci.tau_form(tau, mat_vec(T, c))
+    tau, T, c = at_point(tables, point, 1)
+    form = ci.trace_form(tau, T, c)
     assert form == mat_mul(tables.P.values(point), T)
     pt0 = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
     assert SymMatrixQ(form) == pt0
-    count = outcome(critical_count, pt0)
+    count = outcome(critical_count, inertia(pt0))
     code, out = run_cli("ci-count", path, "--params", params_text(point),
                         "--json")
     if count is DegeneratePointError:
@@ -155,7 +162,7 @@ def check_ci(tables, path, point):
 @given(rationals, rationals, rationals)
 @example(Fraction(3), Fraction(0), Fraction(1, 2))
 def test_ci_parabola_point_form_equals_parametric(u, t1, t2):
-    check_ci(ci_tables_of(PARABOLA), f"{FIX}/ci_parabola.ls",
+    check_ci(ci.ci_tables(PARABOLA), f"{FIX}/ci_parabola.ls",
              {"u": u, "t1": t1, "t2": t2})
 
 
@@ -163,7 +170,7 @@ def test_ci_parabola_point_form_equals_parametric(u, t1, t2):
 @given(rationals, rationals)
 @example(Fraction(0), Fraction(0))
 def test_recast_a2_point_form_equals_parametric(a2, u, b):
-    tables = ci_tables_of(ci.hyper_to_ci(a2.spec))
+    tables = ci.ci_tables(ci.hyper_to_ci(a2.spec))
     check_ci(tables, f"{FIX}/a2.ls", {"u": u, "b": b})
 
 
@@ -211,6 +218,30 @@ def test_point_commands_take_no_parametric_determinant(monkeypatch):
     assert ("discriminant", True) in calls
 
 
+def test_point_commands_take_each_inertia_once(monkeypatch):
+    """The printed triple, the signed count and chi share one inertia per
+    form: the count form, B^H and B^HF."""
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return inertia(m)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("logdisc")
+                and getattr(mod, "inertia", None) is inertia):
+            monkeypatch.setattr(mod, "inertia", spy)
+
+    ex1 = (f"{FIX}/example1.ls", "--params", "u=1,d=1,c=-1,b=2", "--json")
+    for argv, forms in ((("count",) + ex1, 1), (("ci-count",) + ex1, 1),
+                        (("euler",) + ex1, 2), (("oracle-check",) + ex1, 3),
+                        (("ci-count", f"{FIX}/ci_parabola.ls", "--params",
+                          "u=3,t1=1,t2=2"), 1)):
+        calls.clear()
+        assert run_cli(*argv)[0] == 0, argv
+        assert len(calls) == forms, argv
+
+
 def test_point_commands_build_nothing_parametric(monkeypatch):
     """Point commands evaluate tau and the first map's coordinates and form
     each trace form over Q from them: no weight system, no Sigma and no P
@@ -224,8 +255,7 @@ def test_point_commands_build_nothing_parametric(monkeypatch):
                          + list(coeffs))
         return real_form(tau, coeffs)
 
-    for mod in (ci, hyper):
-        monkeypatch.setattr(mod, "tau_form", form_spy)
+    monkeypatch.setattr(ci, "tau_form", form_spy)
     monkeypatch.setattr(ci, "multiplication_rows",
                         lambda *a: unused.append("multiplication_rows"))
     for name in ("log_matrix", "derive_weights"):
