@@ -10,7 +10,7 @@ from functools import cached_property
 from .ci import (CISpec, NotQuasihomogeneousError, WeightSystem, ci_tables,
                  monomial_hint, trace_form, weight_system)
 from .groebner import coordinates
-from .matrix import PolyMatrix, det_bareiss, discriminant, mat_vec
+from .matrix import PolyMatrix, det_bareiss, discriminant
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
 
 
@@ -136,9 +136,11 @@ def hessian_determinant(F):
 def hessian_forms(tau, T, f, h):
     """B^H and the trace form of f h, f and h the coordinates of F (or of
     a multiple of F) and of the Hessian determinant, on row lists as
-    ``trace_form``. (f h)_l = sum_ij f_i h_j tau^l_ij."""
-    fh = [sum(x * y for x, y in zip(f, mat_vec(t, h))) for t in tau]
-    return trace_form(tau, T, h), trace_form(tau, T, fh)
+    ``trace_form``. By the product rule (B^H f)_l = sum_m tr(h e_l e_m) f_m
+    = tr(f h e_l), so the trace form of f h is ``trace_form`` with B^H in
+    place of T."""
+    bh = trace_form(tau, T, h)
+    return bh, trace_form(tau, bh, f)
 
 
 def trace_forms(spec, tables, logm):

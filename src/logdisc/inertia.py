@@ -1,13 +1,11 @@
-"""Exact inertia of symmetric rational matrices and the signature-based
+"""Exact inertia of symmetric rational matrices, by symmetric elimination
+over Q (Sylvester's law of inertia), and the signature-based
 critical-point counts and Euler characteristics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .matrix import PolyMatrix, det_bareiss
-from .poly import Polynomial, VarTable
 
 
 class DegeneratePointError(ValueError):
@@ -56,46 +54,40 @@ class InertiaTriple:
         return self.n_zero > 0
 
 
-_LAM = VarTable(("lam",))
-
-
-def char_poly_coeffs(m):
-    """Coefficients of det(lam*I - m), degree ascending, exact."""
-    n = m.size
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[(1,)] = Fraction(1)
-            v = -m.entries[i][j]
-            if v:
-                terms[(0,)] = terms.get((0,), 0) + v
-            row.append(Polynomial(_LAM, terms))
-        entries.append(row)
-    det = det_bareiss(PolyMatrix(_LAM, entries))
-    return [det.terms.get((k,), Fraction(0)) for k in range(n + 1)]
-
-
-def _sign_variations(coeffs):
-    signs = [c for c in coeffs if c]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-
 def inertia(m):
-    """Exact inertia via the characteristic polynomial and Descartes counts.
+    """Exact inertia by symmetric elimination over Q.
 
-    The characteristic polynomial of a symmetric matrix has only real
-    roots, so Descartes' rule is exact here.
+    Each step is a congruence, which by Sylvester's law of inertia keeps
+    the triple: pivot on a nonzero diagonal entry d, count its sign and go
+    on with the Schur complement. When every remaining diagonal entry is
+    zero but some a_ij is not, adding row and column j to row and column i
+    first makes a_ii = 2 a_ij. The elimination stops at a zero block.
     """
-    coeffs = char_poly_coeffs(m)
-    n_zero = next(k for k, c in enumerate(coeffs) if c)
-    reduced = coeffs[n_zero:]
-    n_plus = _sign_variations(list(reversed(reduced)))
-    neg = [c if k % 2 == 0 else -c for k, c in enumerate(reduced)]
-    n_minus = _sign_variations(list(reversed(neg)))
-    return InertiaTriple(n_plus, n_minus, n_zero)
+    a = [list(row) for row in m.entries]
+    n_plus = n_minus = 0
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            ij = next(((i, j) for i, row in enumerate(a)
+                       for j, e in enumerate(row) if e), None)
+            if ij is None:
+                break
+            k, j = ij
+            for row in a:
+                row[k] += row[j]
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+        d = a[k][k]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        pivot = a.pop(k)
+        del pivot[k]
+        for row in a:
+            c = row.pop(k) / d
+            if c:
+                row[:] = [x - c * y for x, y in zip(row, pivot)]
+    return InertiaTriple(n_plus, n_minus, m.size - n_plus - n_minus)
 
 
 def critical_count(tri):

@@ -72,14 +72,7 @@ class _Parser:
         return p
 
     def expr(self):
-        kind, val, _ = self.peek()
-        sign = 1
-        while kind == "op" and val in "+-":
-            self.next()
-            if val == "-":
-                sign = -sign
-            kind, val, _ = self.peek()
-        p = self.term() * sign
+        p = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -100,6 +93,13 @@ class _Parser:
                 return p
 
     def factor(self):
+        """A signed factor: a leading + or - binds looser than ^, so -x^2
+        is -(x^2), also after * (2*-x^2 is -2*x^2)."""
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.next()
+            p = self.factor()
+            return p if val == "+" else -p
         p = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -112,9 +112,6 @@ class _Parser:
 
     def atom(self):
         kind, val, pos = self.next()
-        if kind == "op" and val in "+-":
-            sub = self.atom()
-            return sub if val == "+" else -sub
         if kind == "num":
             c = self._number(val, pos)
             # a rational literal p/q

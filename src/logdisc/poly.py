@@ -145,10 +145,6 @@ class Polynomial:
         m = tuple(1 if j == i else 0 for j in range(vt.nvars))
         return cls(vt, {m: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, vt, expts, c=1):
-        return cls(vt, {tuple(expts): Fraction(c)})
-
     # -- predicates --------------------------------------------------------
 
     @property

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logdisc.inertia import (ChiReport, DegeneratePointError, InertiaTriple,
-                             SymMatrixQ, char_poly_coeffs, critical_count,
+                             SymMatrixQ, critical_count,
                              euler_characteristics, inertia)
 
 
@@ -23,7 +23,6 @@ def test_diagonal_inertia():
 
 def test_char_poly_exchange_matrix():
     m = SymMatrixQ(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-    assert char_poly_coeffs(m) == [Fraction(-1), Fraction(0), Fraction(1)]
     assert inertia(m) == InertiaTriple(1, 1, 0)
 
 
@@ -76,6 +75,54 @@ def test_inertia_is_congruence_invariant(data):
     m = data.draw(sym_matrices())
     a = data.draw(unit_triangular(m.size))
     assert inertia(congruent(m, a)) == inertia(m)
+
+
+HYPERBOLIC = ((0, 1), (1, 0))  # inertia (1, 1, 0), zero diagonal
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    d = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            d[at + i][at:at + len(b)] = map(Fraction, row)
+        at += len(b)
+    return SymMatrixQ(tuple(map(tuple, d)))
+
+
+def unimodular(n, ops):
+    """The identity after the integer row operations row_i += c * row_j
+    (i != j), indices taken mod n: an integer matrix of determinant 1."""
+    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        i, j = i % n, j % n
+        if i != j:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+blocks = st.lists(st.one_of(st.integers(-3, 3).map(lambda v: ((v,),)),
+                            st.just(HYPERBOLIC)),
+                  min_size=1, max_size=6).filter(
+    lambda bs: sum(len(b) for b in bs) <= 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks, st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                  st.integers(-2, 2)), max_size=12))
+@example([HYPERBOLIC], [])
+@example([((2,),), HYPERBOLIC, ((0,),)], [])
+@example([((0,),), HYPERBOLIC, ((-1,),), HYPERBOLIC], [(1, 0, 1), (4, 2, -1)])
+def test_inertia_of_hidden_block_diagonal(bs, ops):
+    # A^T D A with A unimodular has the inertia of D, read off its blocks
+    d = block_diagonal(bs)
+    h = bs.count(HYPERBOLIC)
+    singles = [b[0][0] for b in bs if b != HYPERBOLIC]
+    expected = InertiaTriple(h + sum(v > 0 for v in singles),
+                             h + sum(v < 0 for v in singles),
+                             sum(v == 0 for v in singles))
+    assert inertia(congruent(d, unimodular(d.size, ops))) == expected
 
 
 @settings(max_examples=60, deadline=None)

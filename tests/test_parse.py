@@ -38,6 +38,14 @@ def test_parentheses_and_signs():
     assert parse_poly("+x1 - -x2", VT) == parse_poly("x1 + x2", VT)
 
 
+def test_sign_binds_looser_than_power():
+    # a sign after * or after another sign signs the whole power
+    assert parse_poly("2*-x1^2", VT) == parse_poly("-2*x1^2", VT)
+    assert parse_poly("3*-2^2", VT).constant_value() == -12
+    assert parse_poly("- -x1^2", VT) == parse_poly("x1^2", VT)
+    assert parse_poly("x1 - -x1^2", VT) == parse_poly("x1 + x1^2", VT)
+
+
 def test_unknown_variable():
     with pytest.raises(PolyParseError) as exc:
         parse_poly("x1 + zz", VT)
