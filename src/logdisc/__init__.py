@@ -11,7 +11,7 @@ from .groebner import (ParamIdeal, GroebnerBasis, QuotientBasis,
 from .ci import (CISpec, CITables, GMCoefficients, minor_ideal, ci_tables,
                  gm_coefficients, ci_weights, hyper_to_ci,
                  NotQuasihomogeneousError)
-from .hyper import (DeformationSpec, WeightSystem, LogMatrix, TraceForms,
+from .hyper import (DeformationSpec, WeightSystem, TraceForms,
                     derive_weights, mul_tables, log_matrix, trace_forms,
                     maxwell_bifurcation)
 from .inertia import (SymMatrixQ, InertiaTriple, ChiReport, inertia,

@@ -17,7 +17,8 @@ from .groebner import (NonConstantScaleError, InfiniteQuotientError,
 from .inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                       euler_characteristics, inertia)
 from .matrix import det_bareiss
-from .oracle import find_critical_points, grid_euler
+from .oracle import (DEFAULT_BALL, DEFAULT_RESOLUTION, find_critical_points,
+                     grid_euler)
 from .parse import PolyParseError, parse_poly
 from .poly import VarTable
 
@@ -65,7 +66,8 @@ def read_input_file(path):
 
 class LoadedSpec:
     """Everything a command might need, built lazily from the input file.
-    A hypersurface's algebra is built with its spec, as the k = 1 case."""
+    Both kinds build one algebra from their CISpec; a hypersurface is the
+    k = 1 case with the single map -F."""
 
     def __init__(self, fields, basis_override=None):
         kind = _unquote(fields.get("kind", "hypersurface"))
@@ -78,7 +80,6 @@ class LoadedSpec:
         x_vars = _parse_list(fields["x_vars"])
         params = _parse_list(fields["params"])
         self.vt = VarTable(tuple(x_vars), tuple(params))
-        self.params = tuple(params)
         basis_text = basis_override
         if basis_text is None and "basis" in fields:
             basis_text = _parse_list(fields["basis"])
@@ -88,18 +89,21 @@ class LoadedSpec:
         self.fields = fields
 
     @cached_property
+    def basis(self):
+        """The basis polynomials, or None where the input gives none."""
+        if self.basis_text is not None:
+            return [parse_poly(b, self.vt) for b in self.basis_text]
+
+    @cached_property
     def spec(self):
         if self.kind != "hypersurface":
             raise InputError("this command needs a hypersurface input")
         if "f0" not in self.fields:
             raise InputError("f0 is required for hypersurface inputs")
         f0 = parse_poly(_unquote(self.fields["f0"]), self.vt)
-        if self.basis_text is None:
+        if self.basis is None:
             raise InputError("basis is required for hypersurface inputs")
-        basis = [parse_poly(b, self.vt) for b in self.basis_text]
-        if len(basis) != len(self.params):
-            raise InputError("basis and params must have equal length")
-        return hy.DeformationSpec.build(f0, basis, self.params)
+        return hy.DeformationSpec.build(f0, self.basis, self.vt.s_vars)
 
     @cached_property
     def cspec(self):
@@ -110,24 +114,19 @@ class LoadedSpec:
                              "complete-intersection inputs")
         maps = [parse_poly(m, self.vt)
                 for m in _parse_list(self.fields["maps"])]
-        return ci_mod.CISpec(tuple(maps), self.params)
+        return ci_mod.CISpec(tuple(maps), self.vt.s_vars)
 
     @cached_property
     def algebra(self):
-        if self.kind == "hypersurface":
-            return self.spec.algebra
         cspec = self.cspec  # the maps' input errors come before the basis's
-        hint = None
-        if self.basis_text is not None:
-            hint = ci_mod.monomial_hint([parse_poly(b, self.vt)
-                                         for b in self.basis_text])
+        hint = None if self.basis is None else ci_mod.monomial_hint(self.basis)
         return ci_mod.ci_tables(cspec, basis_hint=hint)
 
     @cached_property
-    def logm(self):
+    def sigma(self):
         spec = self.spec
-        ws = hy.derive_weights(spec.f0, spec.basis)
-        return hy.log_matrix(spec, ws, spec.algebra)
+        ws = hy.derive_weights(spec.f0, self.algebra.phi)
+        return hy.log_matrix(spec, ws, self.algebra)
 
 
 def parse_param_point(text, vt):
@@ -182,22 +181,26 @@ def _at_point(algebra, args, sign):
     return point, tau, T, [sign * e.value_at(at) for e in c]
 
 
-def _euler_at(spec, tau, T, f, point):
+def _euler_at(loaded, tau, T, f, point):
     """The Euler characteristics at one point from B^H and the trace form
     of F h there, f holding F's coordinates. The Hessian is specialised
     before its determinant is taken."""
-    at = spec.vt.resolve(point)
-    h = coordinates(hy.hessian_determinant(spec.F.evaluate(point)),
-                    spec.gb, spec.basis)
+    algebra = loaded.algebra
+    at = loaded.vt.resolve(point)
+    h = coordinates(hy.hessian_determinant(loaded.spec.F.evaluate(point)),
+                    algebra.gb, algebra.phi)
     bh, bhf = hy.hessian_forms(tau, T, f, [e.value_at(at) for e in h])
     return euler_characteristics(SymMatrixQ(bh), SymMatrixQ(bhf),
-                                 spec.vt.nx)
+                                 loaded.vt.nx)
+
+
+def _trace_inertia(tau, T, g):
+    """The inertia of g's trace form, whose signature is the exact count."""
+    return inertia(SymMatrixQ(ci_mod.trace_form(tau, T, g)))
 
 
 def tables(loaded, args):
     """`tables` (hypersurfaces): tau and zeta; `ci-tables` adds T and P."""
-    if args.command == "tables":
-        loaded.spec  # refuses a complete-intersection input
     algebra = loaded.algebra
     out = {"mu": algebra.mu,
            "basis": [str(p) for p in algebra.phi.polynomials()],
@@ -220,30 +223,28 @@ def print_tables(o):
 
 
 def logfields(loaded, args):
-    logm = loaded.logm
-    return {"mu": loaded.spec.mu,
-            "basis": [str(p) for p in loaded.spec.basis.polynomials()],
-            "Sigma": _mat(logm.sigma),
-            "detSigma": str(logm.discriminant)}
+    sigma = loaded.sigma
+    return {"mu": loaded.algebra.mu,
+            "basis": [str(p) for p in loaded.algebra.phi.polynomials()],
+            "Sigma": _mat(sigma),
+            "detSigma": str(det_bareiss(sigma))}
 
 
 def maxwell(loaded, args):
-    spec = loaded.spec
-    bif, mx = hy.maxwell_bifurcation(spec.algebra, spec.u)
-    return {"mu": spec.mu, "detT": str(bif), "maxwell": str(mx)}
+    bif, mx = hy.maxwell_bifurcation(loaded.algebra, loaded.cspec.u)
+    return {"mu": loaded.algebra.mu, "detT": str(bif), "maxwell": str(mx)}
 
 
 def traceforms(loaded, args):
-    spec = loaded.spec
-    tf = hy.trace_forms(spec, spec.algebra, loaded.logm)
-    return {"mu": spec.mu, "T": _mat(tf.T), "BH": _mat(tf.BH),
+    tf = hy.trace_forms(loaded.spec, loaded.algebra, loaded.sigma)
+    return {"mu": loaded.algebra.mu, "T": _mat(tf.T), "BH": _mat(tf.BH),
             "BHF": _mat(tf.BHF)}
 
 
 def euler(loaded, args):
-    point, tau, T, f = _at_point(loaded.spec.algebra, args, -1)
-    rep = _euler_at(loaded.spec, tau, T, f, point)
-    return {"mu": loaded.spec.mu,
+    point, tau, T, f = _at_point(loaded.algebra, args, -1)
+    rep = _euler_at(loaded, tau, T, f, point)
+    return {"mu": loaded.algebra.mu,
             "inertia": {"BH": _triple(rep.BH), "BHF": _triple(rep.BHF)},
             "chi": {"ge": rep.chi_ge, "le": rep.chi_le, "eq": rep.chi_eq,
                     "sign_BH": rep.BH.signature,
@@ -254,12 +255,9 @@ def euler(loaded, args):
 def count(loaded, args):
     """`count` (hypersurfaces) takes the signature of the trace form of F,
     `ci-count` that of the first map F_1 - u."""
-    sign = 1
-    if args.command == "count":
-        loaded.spec  # refuses a complete-intersection input
-        sign = -1
+    sign = -1 if args.command == "count" else 1
     _, tau, T, g = _at_point(loaded.algebra, args, sign)
-    tri = inertia(SymMatrixQ(ci_mod.trace_form(tau, T, g)))
+    tri = _trace_inertia(tau, T, g)
     return {"mu": loaded.algebra.mu, "inertia": _triple(tri),
             "count": critical_count(tri)}
 
@@ -286,14 +284,14 @@ def oracle_check(loaded, args):
     variables), on the maps for a complete intersection."""
     hyper = loaded.kind == "hypersurface"
     point, tau, T, f = _at_point(loaded.algebra, args, -1 if hyper else 1)
-    exact = critical_count(inertia(SymMatrixQ(ci_mod.trace_form(tau, T, f))))
+    exact = critical_count(_trace_inertia(tau, T, f))
     maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
     rep = find_critical_points(maps[0], point, loaded.algebra.mu,
                                ball_radius=args.ball, constraints=maps[1:])
     oc = {"count": len(rep.points), "signed": rep.signed_count,
           "exact_signature": exact, "agree": rep.signed_count == exact}
     if hyper and loaded.vt.nx <= 2:
-        chi = _euler_at(loaded.spec, tau, T, f, point)
+        chi = _euler_at(loaded, tau, T, f, point)
         g = grid_euler(maps[0], point, ball_radius=args.ball,
                        resolution=args.resolution)
         oc["grid"] = {"resolution": g.resolution, "stable": g.stable,
@@ -326,12 +324,12 @@ COMMANDS = {
         _matrix_text("Sigma", o["Sigma"]), "det Sigma = " + o["detSigma"],
         sep="\n")),
     "discriminant": (
-        lambda loaded, args: {"mu": loaded.spec.mu,
-                              "detSigma": str(loaded.logm.discriminant)},
+        lambda loaded, args: {"mu": loaded.algebra.mu,
+                              "detSigma": str(det_bareiss(loaded.sigma))},
         lambda o: print(o["detSigma"])),
     "bifurcation": (
-        lambda loaded, args: {"mu": loaded.spec.mu,
-                              "detT": str(det_bareiss(loaded.spec.algebra.T))},
+        lambda loaded, args: {"mu": loaded.algebra.mu,
+                              "detT": str(det_bareiss(loaded.algebra.T))},
         lambda o: print(o["detT"])),
     "maxwell": (maxwell, lambda o: print(
         "det T = %(detT)s\nmaxwell candidate = %(maxwell)s" % o)),
@@ -351,10 +349,20 @@ COMMANDS = {
         sep="\n")),
     "oracle-check": (oracle_check, print_oracle_check),
 }
+HYPERSURFACE_ONLY = {"tables", "logfields", "discriminant", "bifurcation",
+                     "maxwell", "traceforms", "euler", "count"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: they exit 1, not argparse's 2, which
+    means a degenerate parameter point."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="logdisc",
         description="Exact discriminants, trace forms and Euler "
                     "characteristics for versal deformations.")
@@ -363,9 +371,9 @@ def build_parser():
     ap.add_argument("--params", help="parameter point k=v,... "
                                      "(rationals or exact decimals)")
     ap.add_argument("--json", action="store_true", help="emit JSON")
-    ap.add_argument("--ball", type=float, default=10.0,
+    ap.add_argument("--ball", type=float, default=DEFAULT_BALL,
                     help="ball radius for oracle checks")
-    ap.add_argument("--resolution", type=int, default=64,
+    ap.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                     help="starting grid resolution for the grid oracle")
     ap.add_argument("--basis", help="override basis: comma-separated "
                                     "monomials")
@@ -373,9 +381,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    build, show = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        build, show = COMMANDS[args.command]
         if not (math.isfinite(args.ball) and args.ball > 0):
             raise InputError("--ball must be finite and positive, got %s"
                              % args.ball)
@@ -384,6 +392,8 @@ def main(argv=None):
                              % args.resolution)
         loaded = LoadedSpec(read_input_file(args.input),
                             basis_override=args.basis)
+        if args.command in HYPERSURFACE_ONLY:
+            loaded.spec  # refuses a complete-intersection input
         out = build(loaded, args)
         if args.json:
             print(json.dumps(out, indent=2))

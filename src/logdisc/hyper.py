@@ -1,14 +1,13 @@
-"""Hypersurface pipeline on the k = 1 complete-intersection algebra:
-weights, the logarithmic matrix and discriminant, bifurcation and Maxwell
-sets, Hessian trace forms."""
+"""Hypersurface pipeline on the k = 1 complete-intersection algebra of the
+single map -F (``mul_tables``): weights, the logarithmic matrix Sigma and
+the discriminant det Sigma, bifurcation and Maxwell sets, trace forms."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .ci import (CISpec, NotQuasihomogeneousError, WeightSystem, ci_tables,
-                 monomial_hint, trace_form, weight_system)
+from .ci import (NotQuasihomogeneousError, WeightSystem, ci_tables,
+                 hyper_to_ci, monomial_hint, trace_form, weight_system)
 from .groebner import coordinates
 from .matrix import PolyMatrix, det_bareiss, discriminant
 from .poly import Polynomial, exact_divide, make_primitive, squarefree_core
@@ -32,90 +31,52 @@ def derive_weights(f0, basis=None):
 
 @dataclass
 class DeformationSpec:
-    """Versal deformation F = f0 + sum(s_i * e_i) with e_0 = 1, s_0 = u.
-
-    algebra is the quotient algebra of the one-map family -F = F_1 - u
-    (``ci.ci_tables``) in the basis order given; the Jacobian ideal of F
-    is its minor ideal."""
+    """Versal deformation F = f0 + sum(s_i * e_i) with e_0 = 1, s_0 = u;
+    monomials holds the x-exponents of the basis elements e_i, in order.
+    Its quotient algebra is ``mul_tables(spec)``."""
 
     f0: Polynomial
     params: tuple        # parameter names, one per basis element
     F: Polynomial
-    algebra: object      # ci.CITables
+    monomials: list
 
     @classmethod
     def build(cls, f0, basis_monomials, params):
         vt = f0.vt
         params = tuple(params)
         if len(params) != len(basis_monomials):
-            raise ValueError("need one parameter per basis element")
-        hint = monomial_hint(basis_monomials)
-        if not hint or any(hint[0]):
+            raise ValueError("basis and params must have equal length")
+        monomials = monomial_hint(basis_monomials)
+        if not monomials or any(monomials[0]):
             raise ValueError("the first basis element must be 1")
         F = f0
         for name, b in zip(params, basis_monomials):
             F = F + Polynomial.var(vt, name) * b
-        return cls(f0, params, F,
-                   ci_tables(CISpec((-F,), params), basis_hint=hint))
-
-    @property
-    def vt(self):
-        return self.f0.vt
-
-    @property
-    def u(self):
-        return self.params[0]
-
-    @property
-    def gb(self):
-        return self.algebra.gb
-
-    @property
-    def basis(self):
-        """QuotientBasis in the paper's row/column order."""
-        return self.algebra.phi
-
-    @property
-    def mu(self):
-        return self.algebra.mu
+        return cls(f0, params, F, monomials)
 
 
 def mul_tables(spec):
-    """The quotient algebra built with the spec: structure constants tau,
-    traces zeta, the trace form T and the matrix P. Callers read
-    ``spec.algebra``; this stays only for the benchmark's tracer, which
-    wraps it by name, until per-layer counters replace the tracer."""
-    return spec.algebra
-
-
-@dataclass
-class LogMatrix:
-    """Rows of sigma are logarithmic vector fields of the discriminant.
-
-    sigma = -wF * P, P the matrix of multiplication by the first map -F.
-    The discriminant det(sigma) is computed on first access and cached:
-    only the discriminant and logfields commands read it.
-    """
-
-    sigma: PolyMatrix
-
-    @cached_property
-    def discriminant(self):
-        return det_bareiss(self.sigma)
+    """The quotient algebra of the one-map family -F = F_1 - u
+    (``ci.ci_tables``) in the basis order given: structure constants tau,
+    traces zeta, the trace form T and the matrix P. The Jacobian ideal of F
+    is its minor ideal."""
+    return ci_tables(hyper_to_ci(spec), basis_hint=spec.monomials)
 
 
 def log_matrix(spec, ws, tables):
-    """Logarithmic matrix sigma = -wF * P, once the Euler relation
-    wF * F = sum_l w(s_l) * s_l * e_l is checked on the quotient's
-    coordinates. multiplication_rows is linear in its vector and its row 0
-    is that vector (e_0 = 1), so this is the matrix identity sigma =
+    """Logarithmic matrix sigma = -wF * P, P the matrix of multiplication by
+    the first map -F; its rows are logarithmic vector fields of the
+    discriminant det(sigma). The Euler relation wF * F = sum_l w(s_l) * s_l
+    * e_l is checked on the quotient's coordinates first.
+    multiplication_rows is linear in its vector and its row 0 is that
+    vector (e_0 = 1), so this is the matrix identity sigma =
     multiplication_rows(tau, [w(s_l) * s_l])."""
-    euler = [w * Polynomial.var(spec.vt, name)
+    euler = [w * Polynomial.var(spec.F.vt, name)
              for w, name in zip(ws.s_weights, spec.params)]
     if euler != [c * -ws.wF for c in tables.first_map_coords]:
         raise AssertionError("weighted logarithmic matrix disagrees with the "
                              "normal-form matrix")
-    return LogMatrix(tables.P.scale(-ws.wF))
+    return tables.P.scale(-ws.wF)
 
 
 @dataclass
@@ -143,14 +104,14 @@ def hessian_forms(tau, T, f, h):
     return bh, trace_form(tau, bh, f)
 
 
-def trace_forms(spec, tables, logm):
+def trace_forms(spec, tables, sigma):
     """Trace forms of the elements 1 (T), h (B^H, h the Hessian
     determinant) and wF * F * h (B^HF), wF * F's coordinates being row 0
     of sigma (e_0 = 1)."""
-    h = coordinates(hessian_determinant(spec.F), spec.gb, spec.basis)
+    h = coordinates(hessian_determinant(spec.F), tables.gb, tables.phi)
     T = tables.T
-    BH, BHF = (PolyMatrix(spec.vt, m) for m in hessian_forms(
-        [t.entries for t in tables.tau], T.entries, logm.sigma.entries[0], h))
+    BH, BHF = (PolyMatrix(spec.F.vt, m) for m in hessian_forms(
+        [t.entries for t in tables.tau], T.entries, sigma.entries[0], h))
     return TraceForms(T, BH, BHF)
 
 

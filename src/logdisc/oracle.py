@@ -32,6 +32,7 @@ NEWTON_TOL = 1e-10
 DEDUP_FACTOR = 1e-6
 START_BUDGET_PER_MU = 200
 DEFAULT_BALL = 10.0
+DEFAULT_RESOLUTION = 64
 NEWTON_STEPS = 80
 LINE_SEARCH_HALVINGS = 10
 DIVERGENCE_FACTOR = 50
@@ -423,7 +424,8 @@ def _chi_at(F, assignment, radius, n):
     return _chi_of(pge), _chi_of(ple), _chi_of(peq)
 
 
-def grid_euler(F, assignment, ball_radius=DEFAULT_BALL, resolution=64):
+def grid_euler(F, assignment, ball_radius=DEFAULT_BALL,
+               resolution=DEFAULT_RESOLUTION):
     """Grid-based Euler characteristics of the regions F >= 0, F <= 0 and
     F = 0 on a square around the origin, doubled until two consecutive
     resolutions agree (at most GRID_DOUBLINGS doublings)."""

@@ -1,6 +1,8 @@
+from functools import cached_property
+
 import pytest
 
-from logdisc.matrix import PolyMatrix, _univariate
+from logdisc.matrix import PolyMatrix, _univariate, det_bareiss
 from logdisc.parse import parse_poly
 from logdisc.poly import Polynomial, VarTable
 from logdisc import hyper
@@ -52,16 +54,18 @@ class Bundle:
         self.f0 = parse_poly(f0_text, self.vt)
         basis = [parse_poly(b, self.vt) for b in basis_texts]
         self.spec = hyper.DeformationSpec.build(self.f0, basis, tuple(s_vars))
-        self.ws = hyper.derive_weights(self.f0, self.spec.basis)
-        self.tables = self.spec.algebra
-        self.logm = hyper.log_matrix(self.spec, self.ws, self.tables)
-        self._tf = None
+        self.tables = hyper.mul_tables(self.spec)
+        self.ws = hyper.derive_weights(self.f0, self.tables.phi)
+        self.sigma = hyper.log_matrix(self.spec, self.ws, self.tables)
 
-    @property
+    @cached_property
+    def disc(self):
+        """det Sigma, the discriminant."""
+        return det_bareiss(self.sigma)
+
+    @cached_property
     def tf(self):
-        if self._tf is None:
-            self._tf = hyper.trace_forms(self.spec, self.tables, self.logm)
-        return self._tf
+        return hyper.trace_forms(self.spec, self.tables, self.sigma)
 
     def p(self, text):
         return parse_poly(text, self.vt)

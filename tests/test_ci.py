@@ -64,7 +64,7 @@ def jacobian_rows(b):
     minor-ideal path."""
     F = b.spec.F
     gb = buchberger(ParamIdeal(tuple(F.diff(x) for x in b.vt.x_vars)))
-    qb = standard_basis(gb, ordering_hint=b.spec.basis.monomials)
+    qb = standard_basis(gb, ordering_hint=b.spec.monomials)
     return PolyMatrix(b.vt, [coordinates(F * e, gb, qb)
                              for e in qb.polynomials()])
 
@@ -74,13 +74,13 @@ def test_hypersurface_recast_matches_log_matrix(ex1, a2, e6):
     # one-map family, so these hold by construction.
     spec = ci.hyper_to_ci(ex1.spec)
     assert spec.k == 1
-    hint = ex1.spec.basis.monomials
+    hint = ex1.spec.monomials
     tables = ci.ci_tables(spec, basis_hint=hint)
-    assert tables.mu == ex1.spec.mu
+    assert tables.mu == ex1.tables.mu
     # P is the normal-form log matrix up to the weight factor and sign
-    assert tables.P.scale(-3) == ex1.logm.sigma
+    assert tables.P.scale(-3) == ex1.sigma
     detP, detT = det_bareiss(tables.P), det_bareiss(tables.T)
-    assert ex1.logm.discriminant == detP * 81
+    assert ex1.disc == detP * 81
     assert detT == det_bareiss(ex1.tf.T)
     assert tables.T == ex1.tf.T
     assert tables.zeta == ex1.tables.zeta
@@ -95,7 +95,7 @@ def test_hypersurface_recast_matches_log_matrix(ex1, a2, e6):
 def test_recast_discriminant_is_monic_in_u(ex1, a2):
     for b, mu in ((ex1, 4), (a2, 2)):
         spec = ci.hyper_to_ci(b.spec)
-        tables = ci.ci_tables(spec, basis_hint=b.spec.basis.monomials)
+        tables = ci.ci_tables(spec, basis_hint=b.spec.monomials)
         detP = det_bareiss(tables.P)
         assert detP.degree_in("u") == mu
         origin = {name: Fraction(0) for name in spec.params[1:]}
@@ -118,7 +118,7 @@ def test_first_map_coordinates_checked_free_of_u():
 
 def test_product_with_trace_form_is_symmetric(ex1):
     spec = ci.hyper_to_ci(ex1.spec)
-    tables = ci.ci_tables(spec, basis_hint=ex1.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=ex1.spec.monomials)
     assert is_symmetric(tables.P * tables.T)
 
 
@@ -181,7 +181,7 @@ def test_weights_incompatible_maps_rejected():
 
 def test_connection_coefficients_cusp(a2):
     spec = ci.hyper_to_ci(a2.spec)
-    tables = ci.ci_tables(spec, basis_hint=a2.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=a2.spec.monomials)
     ws = ci.ci_weights(spec)
     gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3
@@ -197,7 +197,7 @@ def test_connection_coefficients_divergence_identity(ex1):
     # phi_0 = 1 recovers trM0 + sum w(x_p) + weight(phi_i*phi_j) whenever
     # the product is a standard monomial
     spec = ci.hyper_to_ci(ex1.spec)
-    tables = ci.ci_tables(spec, basis_hint=ex1.spec.basis.monomials)
+    tables = ci.ci_tables(spec, basis_hint=ex1.spec.monomials)
     ws = ci.ci_weights(spec)
     gm = ci.gm_coefficients(spec, tables, ws)
     assert gm.trM0 == 3

@@ -128,6 +128,20 @@ def test_missing_file_exit_code(capsys):
     assert "error:" in err
 
 
+def test_usage_errors_are_input_errors(capsys):
+    """argparse's own exit status 2 would read as a degenerate point."""
+    for argv in (("bogus", f"{FIX}/a2.ls"),
+                 ("count", f"{FIX}/a2.ls", "--resolution", "x"),
+                 ("tables",)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
 def test_bad_params_exit_code(capsys):
     code, _, err = run(capsys, "count", f"{FIX}/a1.ls", "--params", "zz=1")
     assert code == 1
@@ -230,6 +244,7 @@ def test_basis_override_wrong_length(capsys):
     code, _, err = run(capsys, "tables", f"{FIX}/example1.ls",
                        "--basis", "1,x1")
     assert code == 1
+    assert err == "error: basis and params must have equal length\n"
 
 
 def test_ci_commands(capsys):
@@ -252,6 +267,25 @@ def test_ci_parabola_count_and_oracle(capsys):
                        "--params", "u=3,t1=1,t2=2", "--json")
     assert code == 0
     assert json.loads(out)["oracle"]["agree"] is True
+
+
+def test_hypersurface_is_its_one_map_complete_intersection(tmp_path, capsys):
+    """A hypersurface input and the complete intersection with the single
+    map -F and the same basis give the same algebra and the same output."""
+    path = tmp_path / "example1_ci.ls"
+    path.write_text('kind = complete-intersection\nx_vars = [x1, x2]\n'
+                    'params = [u, d, c, b]\n'
+                    'maps = ["-x1^3 - x2^3 - u - d*x2 - c*x1 - b*x1*x2"]\n'
+                    'basis = ["1", "x2", "x1", "x1*x2"]\n')
+    for argv in (("ci-tables",), ("ci-discriminant",), ("gm",),
+                 ("ci-count", "--params", "u=1,d=1,c=-1,b=2")):
+        command, *rest = argv
+        outs = []
+        for source in (f"{FIX}/example1.ls", str(path)):
+            code, out, err = run(capsys, command, source, *rest, "--json")
+            assert (code, err) == (0, ""), argv
+            outs.append(out)
+        assert outs[0] == outs[1], argv
 
 
 def test_ci_discriminant_of_recast_hypersurface(capsys):
@@ -382,6 +416,13 @@ def test_one_buchberger_run_per_command(monkeypatch, capsys):
     points = {"a2": "u=0,b=-3",
               "e6": "u=-10,a=3,b=-2/5,c=1/10,d=1/10,g=-1/10"}
     argvs = [("ci-tables", f"{FIX}/ci_k2.ls")]
+    # the hypersurface commands run on the k = 1 algebra of -F
+    argvs += [(command, f"{FIX}/a2.ls")
+              for command in ("tables", "logfields", "discriminant",
+                              "bifurcation", "maxwell", "traceforms")]
+    argvs += [(command, f"{FIX}/e6.ls", "--params", points["e6"])
+              for command in ("count", "euler")]
+    argvs += [("oracle-check", f"{FIX}/a2.ls", "--params", points["a2"])]
     for name, point in points.items():
         path = f"{FIX}/{name}.ls"
         argvs += [("ci-tables", path), ("gm", path),
@@ -545,7 +586,7 @@ def test_readme_library_example(capsys):
     lines = capsys.readouterr().out.splitlines()
     code, out, _ = run(capsys, "discriminant", f"{FIX}/example1.ls")
     assert code == 0
-    assert lines[0] == out.strip() == str(scope["logm"].discriminant)
+    assert lines[0] == out.strip() == str(scope["det_bareiss"](scope["sigma"]))
     code, out, _ = run(capsys, "euler", f"{FIX}/example1.ls", "--params",
                        "u=1,d=1,c=-1,b=2", "--json")
     assert code == 0

@@ -20,23 +20,23 @@ def same_up_to_sign(a, b):
     return a == b or a == -b
 
 
-def basis_polys(spec):
-    return spec.basis.polynomials()
+def basis_polys(tables):
+    return tables.phi.polynomials()
 
 
-def multiplication_matrix(p, spec):
+def multiplication_matrix(p, tables):
     """Matrix of multiplication by p on the quotient, columns in the basis:
     normal forms of p * e_j, independent of the structure constants."""
-    es = basis_polys(spec)
-    cols = [coordinates(p * e, spec.gb, spec.basis) for e in es]
-    return PolyMatrix(spec.vt, [[cols[j][i] for j in range(spec.mu)]
-                                for i in range(spec.mu)])
+    es = basis_polys(tables)
+    cols = [coordinates(p * e, tables.gb, tables.phi) for e in es]
+    return PolyMatrix(p.vt, [[cols[j][i] for j in range(tables.mu)]
+                             for i in range(tables.mu)])
 
 
-def trace_of_multiplication(p, spec):
-    m = multiplication_matrix(p, spec)
-    acc = Polynomial.zero(spec.vt)
-    for i in range(spec.mu):
+def trace_of_multiplication(p, tables):
+    m = multiplication_matrix(p, tables)
+    acc = Polynomial.zero(p.vt)
+    for i in range(tables.mu):
         acc = acc + m[i, i]
     return acc
 
@@ -102,7 +102,7 @@ def test_structure_constants_symmetric_and_unital(ex1, e6):
     for b in (ex1, e6):
         for l, t in enumerate(b.tables.tau):
             assert is_symmetric(t)
-            for j in range(b.spec.mu):
+            for j in range(b.tables.mu):
                 # multiplying by the identity element reproduces coordinates
                 assert t[0, j] == (b.p("1") if j == l else b.p("0"))
 
@@ -125,8 +125,8 @@ def weighted_log_matrix(b):
 
 
 def test_log_matrix_weighted_agrees_with_normal_form(ex1):
-    assert ex1.logm.sigma == weighted_log_matrix(ex1)
-    assert ex1.logm.sigma == ex1.tables.P.scale(-3)
+    assert ex1.sigma == weighted_log_matrix(ex1)
+    assert ex1.sigma == ex1.tables.P.scale(-3)
 
 
 def test_log_matrix_refuses_a_wrong_weight(ex1):
@@ -139,7 +139,7 @@ def test_log_matrix_refuses_a_wrong_weight(ex1):
 
 
 def test_log_matrix_entries(ex1):
-    assert ex1.logm.sigma == mat(ex1, [
+    assert ex1.sigma == mat(ex1, [
         ["3*u", "2*d", "2*c", "b"],
         ["-2/3*d^2 + 1/9*b^2*c", "3*u + 1/9*b^3", "-b*d", "2*c"],
         ["-2/3*c^2 + 1/9*b^2*d", "-b*c", "3*u + 1/9*b^3", "2*d"],
@@ -148,13 +148,13 @@ def test_log_matrix_entries(ex1):
 
 
 def test_log_matrix_minimal_example(a1):
-    assert a1.logm.sigma == mat(a1, [["2*u"]])
-    assert a1.logm.discriminant == a1.p("2*u")
+    assert a1.sigma == mat(a1, [["2*u"]])
+    assert a1.disc == a1.p("2*u")
 
 
 def test_discriminant_weierstrass_shape(ex1):
-    disc = ex1.logm.discriminant
-    mu = ex1.spec.mu
+    disc = ex1.disc
+    mu = ex1.tables.mu
     assert disc.degree_in("u") == mu
     # leading u-coefficient is wF^mu; lower coefficients never involve u
     lead = ex1.p("81*u^4")
@@ -170,11 +170,11 @@ def test_discriminant_matches_elimination_oracle(a2):
     F = parse_poly("x^3 + u + b*x", a2.vt)
     res = det_bareiss(sylvester_matrix(F, F.diff("x"), "x"))
     assert same_up_to_sign(make_primitive(res),
-                           make_primitive(a2.logm.discriminant))
+                           make_primitive(a2.disc))
 
 
 def test_discriminant_closed_form(ex1):
-    assert ex1.logm.discriminant == ex1.p(
+    assert ex1.disc == ex1.p(
         "8/3*b^2*c^4*d - 1/243*b^8*c*d + 8/3*d^4*c*b^2 "
         "+ 23/27*b^4*d^2*c^2 + 32*u*b*c^2*d^2 - 11/9*u*b^5*c*d "
         "- 30*u^2*b^2*d*c - 1/243*b^6*d^3 - 1/243*b^6*c^3 "
@@ -184,7 +184,7 @@ def test_discriminant_closed_form(ex1):
 
 
 def test_discriminant_of_discriminant_in_u(ex1):
-    got = discriminant(ex1.logm.discriminant, "u")
+    got = discriminant(ex1.disc, "u")
     assert got == ex1.p(
         "27*(d - c)^2*(d^2 + d*c + c^2)^2"
         "*(256*b^2*d^3 + 768*d^2*c^2 + 96*b^4*d*c - b^8 + 256*c^3*b^2)^3")
@@ -198,12 +198,12 @@ def test_disc_u_is_the_trace_hankel_determinant(path):
     roots in u are the eigenvalues of M, whose power sums are tr M^k:
     disc_u(det Sigma) = wF^(mu(2mu - 2)) det[tr M^(i+j)]."""
     loaded = LoadedSpec(read_input_file(path))
-    spec = loaded.spec
-    mu, vt = spec.mu, spec.vt
-    u = Polynomial.var(vt, spec.u)
+    spec, algebra = loaded.spec, loaded.algebra
+    mu, vt = algebra.mu, loaded.vt
+    u = Polynomial.var(vt, "u")
     M = [[e + u if i == j else e for j, e in enumerate(row)]
-         for i, row in enumerate(spec.algebra.P.entries)]
-    assert all(e.degree_in(spec.u) <= 0 for row in M for e in row)
+         for i, row in enumerate(algebra.P.entries)]
+    assert all(e.degree_in("u") <= 0 for row in M for e in row)
     power = [[Polynomial.const(vt, int(i == j)) for j in range(mu)]
              for i in range(mu)]
     traces = []
@@ -213,14 +213,14 @@ def test_disc_u_is_the_trace_hankel_determinant(path):
     hankel = det_bareiss(PolyMatrix(vt, [traces[i:i + mu]
                                          for i in range(mu)]))
     wF = hyper.derive_weights(spec.f0).wF
-    assert (discriminant(loaded.logm.discriminant, spec.u)
+    assert (discriminant(det_bareiss(loaded.sigma), "u")
             == hankel * wF ** (mu * (2 * mu - 2)))
 
 
 def test_log_rows_are_tangent_to_discriminant(ex1):
-    sigma = ex1.logm.sigma
-    disc = ex1.logm.discriminant
-    for i in range(ex1.spec.mu):
+    sigma = ex1.sigma
+    disc = ex1.disc
+    for i in range(ex1.tables.mu):
         acc = ex1.p("0")
         for l, name in enumerate(ex1.spec.params):
             acc = acc + sigma[i, l] * disc.diff(name)
@@ -228,11 +228,11 @@ def test_log_rows_are_tangent_to_discriminant(ex1):
 
 
 def test_euler_identity(ex1):
-    disc = ex1.logm.discriminant
+    disc = ex1.disc
     acc = ex1.p("0")
     for name, w in zip(ex1.spec.params, ex1.ws.s_weights):
         acc = acc + w * ex1.p(name) * disc.diff(name)
-    assert acc == disc * (ex1.spec.mu * ex1.ws.wF)
+    assert acc == disc * (ex1.tables.mu * ex1.ws.wF)
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +241,35 @@ def test_euler_identity(ex1):
 
 def test_trace_form_entries_via_multiplication_traces(ex1):
     tf = ex1.tf
-    BF = ex1.logm.sigma * tf.T
-    es = basis_polys(ex1.spec)
+    BF = ex1.sigma * tf.T
+    es = basis_polys(ex1.tables)
     h = hyper.hessian_determinant(ex1.spec.F)
     F = ex1.spec.F
-    mu = ex1.spec.mu
+    mu = ex1.tables.mu
     wF = ex1.ws.wF
     for i in range(mu):
         for j in range(mu):
             eij = es[i] * es[j]
-            assert tf.T[i, j] == trace_of_multiplication(eij, ex1.spec)
+            assert tf.T[i, j] == trace_of_multiplication(eij, ex1.tables)
             assert tf.BH[i, j] == \
-                trace_of_multiplication(h * eij, ex1.spec)
+                trace_of_multiplication(h * eij, ex1.tables)
             # the weighted log matrix carries a factor wF into the F-forms
             assert BF[i, j] == \
-                trace_of_multiplication(F * eij, ex1.spec) * wF
+                trace_of_multiplication(F * eij, ex1.tables) * wF
             assert tf.BHF[i, j] == \
-                trace_of_multiplication(F * h * eij, ex1.spec) * wF
+                trace_of_multiplication(F * h * eij, ex1.tables) * wF
 
 
 def test_trace_forms_symmetric(ex1, e6):
     for b in (ex1, e6):
-        for m in (b.tf.T, b.logm.sigma * b.tf.T, b.tf.BH, b.tf.BHF):
+        for m in (b.tf.T, b.sigma * b.tf.T, b.tf.BH, b.tf.BHF):
             assert is_symmetric(m)
 
 
 def test_trace_forms_u_independent_except_F_weighted(ex1):
     tf = ex1.tf
-    BF = ex1.logm.sigma * tf.T
-    mu = ex1.spec.mu
+    BF = ex1.sigma * tf.T
+    mu = ex1.tables.mu
     for i in range(mu):
         for j in range(mu):
             assert tf.T[i, j].degree_in("u") <= 0
@@ -280,7 +280,7 @@ def test_trace_forms_u_independent_except_F_weighted(ex1):
 
 def test_trace_forms_factor_through_log_matrix(ex1):
     tf = ex1.tf
-    assert tf.BHF == ex1.logm.sigma * tf.BH
+    assert tf.BHF == ex1.sigma * tf.BH
 
 
 def test_hessian_trace_form(ex1):
@@ -330,7 +330,7 @@ def test_self_intersection_locus(ex1):
     bif, candidate = hyper.maxwell_bifurcation(ex1.tables, "u")
     target = ex1.p("(d - c)^2 * (d^2 + d*c + c^2)^2")
     assert same_up_to_sign(candidate, target)
-    assert exact_divide(discriminant(ex1.logm.discriminant, "u"),
+    assert exact_divide(discriminant(ex1.disc, "u"),
                         candidate) is not None
 
 
@@ -421,7 +421,7 @@ def test_deep_trace_matrix_definition(e6):
 
 
 def test_weighted_log_matrix_deep(e6):
-    assert e6.logm.sigma == weighted_log_matrix(e6)
-    assert e6.logm.sigma == e6.tables.P.scale(-12)
-    assert e6.logm.sigma[0, 0] == e6.p("12*u")
-    assert e6.logm.sigma[0, 5] == e6.p("2*g")
+    assert e6.sigma == weighted_log_matrix(e6)
+    assert e6.sigma == e6.tables.P.scale(-12)
+    assert e6.sigma[0, 0] == e6.p("12*u")
+    assert e6.sigma[0, 5] == e6.p("2*g")

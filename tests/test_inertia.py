@@ -165,7 +165,7 @@ def test_critical_count_signature():
 def test_critical_count_degenerate_raises(ex1):
     point = {"d": Fraction(0), "c": Fraction(0), "b": Fraction(0),
              "u": Fraction(1)}
-    sigma_t = ex1.logm.sigma * ex1.tf.T
+    sigma_t = ex1.sigma * ex1.tf.T
     m = SymMatrixQ.from_poly_matrix(sigma_t, point)
     with pytest.raises(DegeneratePointError):
         critical_count(inertia(m))

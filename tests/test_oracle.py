@@ -46,19 +46,19 @@ def test_critical_points_cusp_unfolding(a2):
 def test_signed_count_matches_exact_signature(ex1):
     point = {"u": Fraction(1), "d": Fraction(1), "c": Fraction(-1),
              "b": Fraction(2)}
-    rep = find_critical_points(ex1.spec.F, point, ex1.spec.mu, seed=3)
-    sigma_t = ex1.logm.sigma * ex1.tf.T
+    rep = find_critical_points(ex1.spec.F, point, ex1.tables.mu, seed=3)
+    sigma_t = ex1.sigma * ex1.tf.T
     exact = critical_count(inertia(SymMatrixQ.from_poly_matrix(sigma_t,
                                                               point)))
     assert rep.signed_count == exact
-    assert len(rep.points) <= ex1.spec.mu
+    assert len(rep.points) <= ex1.tables.mu
 
 
 def test_dedup_never_exceeds_mu(e6):
     point = {"u": Fraction(-10), "a": Fraction(-9, 10), "b": Fraction(-2, 5),
              "c": Fraction(1, 10), "d": Fraction(1, 10), "g": Fraction(-1, 10)}
-    rep = find_critical_points(e6.spec.F, point, e6.spec.mu, seed=1)
-    assert len(rep.points) <= e6.spec.mu
+    rep = find_critical_points(e6.spec.F, point, e6.tables.mu, seed=1)
+    assert len(rep.points) <= e6.tables.mu
     assert rep.signed_count == -2
 
 
@@ -168,7 +168,7 @@ def test_batched_finder_matches_per_start_reference(a2, e6):
                 "d": Fraction(1, 10), "g": Fraction(-1, 10)}
     cases = [
         (a2.spec.F, {"u": Fraction(0), "b": Fraction(-3)}, 2, (), 0),
-        (e6.spec.F, e6_point, e6.spec.mu, (), 1),
+        (e6.spec.F, e6_point, e6.tables.mu, (), 1),
         (parse_poly("x1 + u", vt), {"u": Fraction(0)}, 2, (circle,), 0),
         # asking for more points than exist spends the whole budget
         (parse_poly("x1 + x2 + u", vt), {"u": Fraction(1, 3)}, 3,

@@ -64,14 +64,14 @@ def check_hypersurface(b, path, point):
     form = ci.trace_form(tau, T, f)
     at = b.vt.resolve(point)
     h = coordinates(hyper.hessian_determinant(b.spec.F.evaluate(point)),
-                    b.spec.gb, b.spec.basis)
+                    b.tables.gb, b.tables.phi)
     bh, bhf = hyper.hessian_forms(tau, T, f, [e.value_at(at) for e in h])
     # -P, evaluated from the parametric P, is multiplication by F there
     minus_P = [[-e for e in row] for row in b.tables.P.values(point)]
     assert form == mat_mul(minus_P, T)
     assert bhf == mat_mul(minus_P, bh)
     st0 = SymMatrixQ.from_poly_matrix(
-        b.logm.sigma * b.tables.T, point)
+        b.sigma * b.tables.T, point)
     bh0 = SymMatrixQ.from_poly_matrix(b.tf.BH, point)
     bhf0 = SymMatrixQ.from_poly_matrix(b.tf.BHF, point)
     # Sigma = -wF * P carries the factor wF into the F-forms
@@ -85,7 +85,7 @@ def check_hypersurface(b, path, point):
         assert code == cli.EXIT_DEGENERATE
     else:
         assert code == 0
-        assert json.loads(out) == {"mu": b.spec.mu, "inertia": triple(st0),
+        assert json.loads(out) == {"mu": b.tables.mu, "inertia": triple(st0),
                                    "count": count}
 
     chi = outcome(euler_characteristics, bh0, bhf0, b.vt.nx)
@@ -215,7 +215,7 @@ def test_point_commands_take_no_parametric_determinant(monkeypatch):
     code, out = run_cli("logfields", f"{FIX}/a1.ls")
     assert code == 0
     assert "det Sigma = 2*u" in out
-    assert ("discriminant", True) in calls
+    assert ("logfields", True) in calls
 
 
 def test_point_commands_take_each_inertia_once(monkeypatch):
