@@ -2,7 +2,8 @@
 ..., F_k(x,t)) with distinguished projection u; a hypersurface is the case
 k = 1. Structure constants tau^l, traces zeta, the trace form T(t), the
 matrix P(s) = rho(t) - u*Id, weights, and the first-order connection
-coefficient matrices in the quasihomogeneous case."""
+coefficient matrices in the quasihomogeneous case; and the same algebra
+over Q at a parameter point, from the Groebner basis specialised there."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from math import gcd, lcm
 
 from .groebner import ParamIdeal, buchberger, coordinates, standard_basis
 from .matrix import PolyMatrix, det_bareiss, mat_vec
-from .poly import Polynomial
+from .poly import Polynomial, monomial_mul
 
 
 class NotQuasihomogeneousError(ValueError):
@@ -176,66 +177,122 @@ def minor_ideal(spec):
                       + list(spec.maps[1:]))
 
 
-def structure_constants(gb, qb, uname):
-    """Structure constants tau^l (one PolyMatrix per basis element) and
-    traces zeta of the quotient by gb in the standard basis qb; they must
-    not involve the distinguished parameter uname."""
+@dataclass
+class SparseTau:
+    """The structure constants as their nonzero entries with i <= j
+    (tau^l_ij = tau^l_ji), over the parameter polynomials or over Q.
+
+    pairs holds (i, j, col) for every i <= j, col the (l, tau^l_ij) with
+    tau^l_ij nonzero; normal_forms maps each product monomial outside the
+    standard basis to its col, and zero is the ring's zero. Every form and
+    matrix built from tau is a sum over these entries."""
+
+    mu: int
+    pairs: list
+    normal_forms: dict
+    zero: object
+
+    def dense(self):
+        """tau as mu row lists: tau[l][i][j]."""
+        tau = [[[self.zero] * self.mu for _ in range(self.mu)]
+               for _ in range(self.mu)]
+        for i, j, col in self.pairs:
+            for l, v in col:
+                tau[l][i][j] = tau[l][j][i] = v
+        return tau
+
+
+def structure_constants(gb, qb):
+    """Structure constants of the quotient by gb in the standard basis qb,
+    over gb's coefficients: the parameter polynomials, or Q for a basis
+    specialised at a point (``GroebnerBasis.specialise``).
+
+    A product e_i e_j that is a basis monomial is a unit column and takes
+    no normal form; every other distinct product monomial takes one normal
+    form, which the pairs giving it share."""
     vt = qb.vt
-    mu = qb.mu
-    es = qb.polynomials()
-    zero = Polynomial.zero(vt)
-    tau = [[[zero] * mu for _ in range(mu)] for _ in range(mu)]
-    for i in range(mu):
-        for j in range(i, mu):
-            coords = coordinates(es[i] * es[j], gb, qb)
-            for l in range(mu):
-                tau[l][i][j] = coords[l]
-                tau[l][j][i] = coords[l]
-    if any(e.degree_in(uname) > 0 for t in tau for row in t for e in row):
-        raise ValueError("structure constants must not involve u")
-    return [PolyMatrix(vt, t) for t in tau], traces(tau)
+    monos = qb.monomials
+    pad = (0,) * (vt.nvars - vt.nx)
+    one = gb.const(1)
+    forms = {}
+    pairs = []
+    for i, mi in enumerate(monos):
+        for j in range(i, len(monos)):
+            m = monomial_mul(mi, monos[j])
+            l = qb.index.get(m)
+            if l is not None:
+                col = ((l, one),)
+            elif m in forms:
+                col = forms[m]
+            else:
+                coords = coordinates(
+                    Polynomial._raw(vt, {m + pad: Fraction(1)}), gb, qb)
+                col = forms[m] = tuple((k, c) for k, c in enumerate(coords)
+                                       if c)
+            pairs.append((i, j, col))
+    return SparseTau(len(monos), pairs, forms, gb.const(0))
 
 
 def traces(tau):
     """zeta_r = sum_l tau^l_{r,l}, the trace of multiplication by basis
-    element r; tau is a list of row lists of polynomials or rationals."""
-    return [sum(t[r][l] for l, t in enumerate(tau)) for r in range(len(tau))]
+    element r, from a SparseTau."""
+    zeta = [tau.zero] * tau.mu
+    for i, j, col in tau.pairs:
+        for l, v in col:
+            if l == j:
+                zeta[i] = zeta[i] + v
+            if l == i != j:
+                zeta[j] = zeta[j] + v
+    return zeta
 
 
 def tau_form(tau, coeffs):
-    """The symmetric form sum_l coeffs_l * tau^l on row lists of polynomials
-    or rationals.
+    """The symmetric form sum_l coeffs_l * tau^l, as row lists, from a
+    SparseTau and coefficients in its ring: one sum over the nonzero
+    tau^l_ij with i <= j, which skips zero coefficients.
 
     With coeffs = zeta it is the trace form T, T_ij = tr(e_i e_j); with
     coeffs = T g it is the trace form of g (``trace_form``).
     """
-    mu = len(tau)
-    return [[sum(c * t[i][j] for c, t in zip(coeffs, tau)) for j in range(mu)]
-            for i in range(mu)]
+    form = [[tau.zero] * tau.mu for _ in range(tau.mu)]
+    for i, j, col in tau.pairs:
+        terms = [coeffs[l] * v for l, v in col if coeffs[l]]
+        if terms:
+            form[i][j] = form[j][i] = sum(terms[1:], terms[0])
+    return form
 
 
 def trace_form(tau, T, g):
     """The trace form tr(g * e_i * e_j) = sum_l (T g)_l * tau^l_ij of the
-    element with coordinates g, on row lists of polynomials or rationals:
-    over the parameter polynomials, or over Q at a point. Its signature
-    counts the sign changes of g over the real points; B^H is the trace
-    form of the Hessian determinant."""
+    element with coordinates g, tau a SparseTau and T row lists: over the
+    parameter polynomials, or over Q at a point. Its signature counts the
+    sign changes of g over the real points; B^H is the trace form of the
+    Hessian determinant."""
     return tau_form(tau, mat_vec(T, g))
 
 
 def multiplication_rows(tau, coeffs):
-    """Matrix of multiplication by sum_l coeffs_l * e_l, tau as in tau_form:
+    """Matrix of multiplication by sum_l coeffs_l * e_l, from a SparseTau:
     row i holds the coordinates of its product with e_i, sum_l coeffs_l *
     tau^m_{l,i} in column m."""
-    mu = len(tau)
-    return [[sum(c * tau[m][l][i] for l, c in enumerate(coeffs))
-             for m in range(mu)] for i in range(mu)]
+    rows = [[tau.zero] * tau.mu for _ in range(tau.mu)]
+    for i, j, col in tau.pairs:
+        for a, b in ((i, j), (j, i)) if i != j else ((i, j),):
+            c = coeffs[a]
+            if c:
+                row = rows[b]
+                for m, v in col:
+                    row[m] = row[m] + c * v
+    return rows
 
 
 @dataclass
 class CITables:
-    """The quotient algebra: standard basis phi, reduced Groebner basis gb,
-    structure constants tau, traces zeta and the first map F_1 - u.
+    """The quotient algebra: standard basis phi, reduced Groebner basis gb
+    and the first map F_1 - u. The structure constants, the traces zeta,
+    the trace form T and the matrix P are built on first use;
+    ``PointTables`` gives the algebra at a point over Q, from the basis
+    specialised there.
 
     tau[l] is the mu x mu matrix whose (i, j) entry is the coefficient of
     basis element l in the product of basis elements i and j; zeta[r] is
@@ -244,8 +301,6 @@ class CITables:
 
     phi: object
     gb: object
-    tau: list
-    zeta: list
     first_map: Polynomial
 
     @property
@@ -253,17 +308,37 @@ class CITables:
         return self.phi.mu
 
     @cached_property
+    def sparse_tau(self):
+        """The structure constants over the parameter polynomials. They are
+        free of u by construction (u enters the first map only, as -u, and
+        so no Jacobian minor and no later map); the check reads the normal
+        forms, since a unit column is 1."""
+        tau = structure_constants(self.gb, self.phi)
+        u = self.phi.vt.s_vars[0]
+        if any(v.degree_in(u) > 0 for col in tau.normal_forms.values()
+               for _, v in col):
+            raise ValueError("structure constants must not involve u")
+        return tau
+
+    @cached_property
+    def tau(self):
+        """tau as one PolyMatrix per basis element."""
+        return [PolyMatrix(self.phi.vt, t) for t in self.sparse_tau.dense()]
+
+    @cached_property
+    def zeta(self):
+        return traces(self.sparse_tau)
+
+    @cached_property
     def T(self):
-        """The trace form T(t), built on first use: the point commands form
-        T over Q from tau and zeta at their point instead."""
-        return PolyMatrix(self.phi.vt,
-                          tau_form([t.entries for t in self.tau], self.zeta))
+        """The trace form T(t)."""
+        return PolyMatrix(self.phi.vt, tau_form(self.sparse_tau, self.zeta))
 
     @cached_property
     def first_map_coords(self):
         """Coordinates of the first map F_1 - u, from one normal form. With
-        u added at the basis element 1 they are F_1's and must be free of u,
-        as tau is; then so is P + u*Id."""
+        u added at the basis element 1 they are F_1's and free of u, as tau
+        is; then so is P + u*Id. This holds by construction, as for tau."""
         vt = self.phi.vt
         u = vt.s_vars[0]
         coords = coordinates(self.first_map, self.gb, self.phi)
@@ -275,10 +350,43 @@ class CITables:
 
     @cached_property
     def P(self):
-        """The matrix P(s) of multiplication by the first map, built on
-        first use: its products with the basis follow from tau."""
+        """The matrix P(s) of multiplication by the first map: its
+        products with the basis follow from tau."""
         return PolyMatrix(self.phi.vt, multiplication_rows(
-            [t.entries for t in self.tau], self.first_map_coords))
+            self.sparse_tau, self.first_map_coords))
+
+    def require_specialisable(self):
+        """The checks of the point route (``PointTables``), which need no
+        point: every leading coefficient of gb is rational
+        (``GroebnerBasis.require_rational_leads``), and gb is free of u.
+        The second holds by construction, as for tau, and implies both
+        parametric u checks (tau and P + u*Id)."""
+        self.gb.require_rational_leads()
+        u = self.phi.vt.s_vars[0]
+        if any(g.degree_in(u) > 0 for g in self.gb.elements):
+            raise AssertionError("the Groebner basis must be free of u")
+
+
+class PointTables:
+    """The quotient algebra over Q at one parameter point {name: rational}:
+    the Groebner basis specialised there, and from it the structure
+    constants tau (a SparseTau), the traces zeta, the trace form T (row
+    lists) and the first map's coordinates. Specialising commutes with
+    reduction (``GroebnerBasis.specialise``), so each equals the evaluated
+    parametric one, and no parametric structure constant is built."""
+
+    def __init__(self, tables, point):
+        self.point = point
+        self.phi = tables.phi
+        self.gb = tables.gb.specialise(tables.phi.vt.resolve(point))
+        self.tau = structure_constants(self.gb, self.phi)
+        self.zeta = traces(self.tau)
+        self.T = tau_form(self.tau, self.zeta)
+        self.first_map_coords = self.coordinates(tables.first_map)
+
+    def coordinates(self, p):
+        """Coordinates over Q of p at the point, p's parameters evaluated."""
+        return coordinates(p, self.gb, self.phi)
 
 
 def monomial_hint(basis):
@@ -296,12 +404,11 @@ def monomial_hint(basis):
 
 
 def ci_tables(spec, basis_hint=None):
-    """Multiplication tables on the quotient by the minor ideal; the matrix
-    P whose determinant cuts out the discriminant is built on first use."""
+    """The quotient algebra by the minor ideal: its Groebner and standard
+    bases; everything else is built on first use."""
     gb = buchberger(minor_ideal(spec))
     qb = standard_basis(gb, ordering_hint=basis_hint)
-    tau, zeta = structure_constants(gb, qb, spec.u)
-    return CITables(qb, gb, tau, zeta, spec.maps[0])
+    return CITables(qb, gb, spec.maps[0])
 
 
 def ci_weights(spec):

@@ -12,8 +12,7 @@ from functools import cached_property
 
 from . import ci as ci_mod
 from . import hyper as hy
-from .groebner import (NonConstantScaleError, InfiniteQuotientError,
-                       coordinates)
+from .groebner import NonConstantScaleError, InfiniteQuotientError
 from .inertia import (DegeneratePointError, SymMatrixQ, critical_count,
                       euler_characteristics, inertia)
 from .matrix import det_bareiss
@@ -168,35 +167,34 @@ def _triple(tri):
 
 
 def _at_point(algebra, args, sign):
-    """The --params point, and tau, T and sign * c there as rationals, c the
-    first map's coordinates (a hypersurface takes -c, F's). Evaluation is a
-    ring homomorphism, so T is the evaluated parametric T. The algebra and
-    c are built before the point is read."""
-    c = algebra.first_map_coords
-    vt = algebra.phi.vt
-    point = parse_param_point(args.params or "", vt)
-    at = vt.resolve(point)
-    tau = [t.values(point) for t in algebra.tau]
-    T = ci_mod.tau_form(tau, [z.value_at(at) for z in algebra.zeta])
-    return point, tau, T, [sign * e.value_at(at) for e in c]
+    """The algebra over Q at the --params point (``ci.PointTables``) and
+    sign * c, c the first map's coordinates there (a hypersurface takes
+    -c, F's). The point's structure constants, c and T come from the
+    Groebner basis specialised at the point, and equal the evaluated
+    parametric ones; the algebra and its checks come before the point is
+    read."""
+    algebra.require_specialisable()
+    point = parse_param_point(args.params or "", algebra.phi.vt)
+    at = ci_mod.PointTables(algebra, point)
+    return at, [sign * e for e in at.first_map_coords]
 
 
-def _euler_at(loaded, tau, T, f, point):
+def _euler_at(loaded, at, f):
     """The Euler characteristics at one point from B^H and the trace form
     of F h there, f holding F's coordinates. The Hessian is specialised
-    before its determinant is taken."""
-    algebra = loaded.algebra
-    at = loaded.vt.resolve(point)
-    h = coordinates(hy.hessian_determinant(loaded.spec.F.evaluate(point)),
-                    algebra.gb, algebra.phi)
-    bh, bhf = hy.hessian_forms(tau, T, f, [e.value_at(at) for e in h])
+    before its determinant is taken, and h is its normal form at the
+    point."""
+    F = loaded.spec.F.evaluate(at.point)
+    h = at.coordinates(hy.hessian_determinant(F))
+    bh, bhf = hy.hessian_forms(at.tau, at.T, f, h)
     return euler_characteristics(SymMatrixQ(bh), SymMatrixQ(bhf),
                                  loaded.vt.nx)
 
 
-def _trace_inertia(tau, T, g):
-    """The inertia of g's trace form, whose signature is the exact count."""
-    return inertia(SymMatrixQ(ci_mod.trace_form(tau, T, g)))
+def _trace_inertia(at, g):
+    """The inertia of g's trace form at the point, whose signature is the
+    exact count."""
+    return inertia(SymMatrixQ(ci_mod.trace_form(at.tau, at.T, g)))
 
 
 def tables(loaded, args):
@@ -242,8 +240,7 @@ def traceforms(loaded, args):
 
 
 def euler(loaded, args):
-    point, tau, T, f = _at_point(loaded.algebra, args, -1)
-    rep = _euler_at(loaded, tau, T, f, point)
+    rep = _euler_at(loaded, *_at_point(loaded.algebra, args, -1))
     return {"mu": loaded.algebra.mu,
             "inertia": {"BH": _triple(rep.BH), "BHF": _triple(rep.BHF)},
             "chi": {"ge": rep.chi_ge, "le": rep.chi_le, "eq": rep.chi_eq,
@@ -256,8 +253,7 @@ def count(loaded, args):
     """`count` (hypersurfaces) takes the signature of the trace form of F,
     `ci-count` that of the first map F_1 - u."""
     sign = -1 if args.command == "count" else 1
-    _, tau, T, g = _at_point(loaded.algebra, args, sign)
-    tri = _trace_inertia(tau, T, g)
+    tri = _trace_inertia(*_at_point(loaded.algebra, args, sign))
     return {"mu": loaded.algebra.mu, "inertia": _triple(tri),
             "count": critical_count(tri)}
 
@@ -283,16 +279,16 @@ def oracle_check(loaded, args):
     """The finder runs on F for a hypersurface (and the grid in at most two
     variables), on the maps for a complete intersection."""
     hyper = loaded.kind == "hypersurface"
-    point, tau, T, f = _at_point(loaded.algebra, args, -1 if hyper else 1)
-    exact = critical_count(_trace_inertia(tau, T, f))
+    at, f = _at_point(loaded.algebra, args, -1 if hyper else 1)
+    exact = critical_count(_trace_inertia(at, f))
     maps = (loaded.spec.F,) if hyper else loaded.cspec.maps
-    rep = find_critical_points(maps[0], point, loaded.algebra.mu,
+    rep = find_critical_points(maps[0], at.point, loaded.algebra.mu,
                                ball_radius=args.ball, constraints=maps[1:])
     oc = {"count": len(rep.points), "signed": rep.signed_count,
           "exact_signature": exact, "agree": rep.signed_count == exact}
     if hyper and loaded.vt.nx <= 2:
-        chi = _euler_at(loaded, tau, T, f, point)
-        g = grid_euler(maps[0], point, ball_radius=args.ball,
+        chi = _euler_at(loaded, at, f)
+        g = grid_euler(maps[0], at.point, ball_radius=args.ball,
                        resolution=args.resolution)
         oc["grid"] = {"resolution": g.resolution, "stable": g.stable,
                       "chi_ge": g.chi_ge, "chi_le": g.chi_le,

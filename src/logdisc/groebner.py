@@ -8,13 +8,17 @@ and the reduction is exact; a nonconstant scale is surfaced, never
 silently divided out.
 
 Each polynomial is split by x-monomial once, and ``reduce_poly`` takes
-the x-monomials still to reduce from a heap.
+the x-monomials still to reduce from a heap.  A basis whose leading
+coefficients are all rational can be specialised at a parameter point
+(``GroebnerBasis.specialise``): its coefficients are then rationals, and
+the same reduction loop gives the normal forms at that point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -64,11 +68,36 @@ def _split_x(p):
     return {xm: Polynomial._raw(p.vt, cf) for xm, cf in out.items()}
 
 
+def _split_at(p, at):
+    """Group terms by x-monomial at a point from ``VarTable.resolve`` that
+    assigns every parameter p uses: x-exponents -> nonzero rational."""
+    nx = p.vt.nx
+    out = {}
+    for m, c in p.terms.items():
+        free = sum(m[nx:])
+        for i, v in at:
+            e = m[i]
+            if e:
+                c *= v ** e
+                free -= e
+        if free:
+            raise ValueError("point leaves a parameter of %s unassigned" % p)
+        xm = m[:nx]
+        out[xm] = out.get(xm, 0) + c
+    return {xm: c for xm, c in out.items() if c}
+
+
 def _join(vt, split):
     """The polynomial whose split is ``split``."""
     nx = vt.nx
     return Polynomial._raw(vt, {xm + m[nx:]: c for xm, cf in split.items()
                                 for m, c in cf.terms.items()})
+
+
+def _join_at(vt, split):
+    """The x-only polynomial whose split, into rationals, is ``split``."""
+    pad = (0,) * (vt.nvars - vt.nx)
+    return Polynomial._raw(vt, {xm + pad: c for xm, c in split.items()})
 
 
 def _add_into(split, xm, c):
@@ -100,11 +129,24 @@ def _strip_content(p):
 
 @dataclass
 class ReductionCertificate:
-    """scale * input = sum(cofactor_i * g_i) + remainder, exactly."""
+    """scale * input = sum(cofactor_i * g_i) + remainder, exactly, g_i the
+    elements of gb. The remainder and the cofactors stay split by
+    x-monomial, as ``reduce_poly`` left them, and are joined on first read:
+    coordinates are read off ``split``, and no normal form builds a
+    cofactor polynomial that nothing reads."""
 
-    remainder: Polynomial
-    cofactors: list
+    gb: object
+    split: dict
+    cofactor_splits: list
     scale: Polynomial
+
+    @cached_property
+    def remainder(self):
+        return self.gb.join(self.split)
+
+    @cached_property
+    def cofactors(self):
+        return [self.gb.join(c) for c in self.cofactor_splits]
 
     @property
     def scale_is_constant(self):
@@ -120,31 +162,86 @@ class ReductionCertificate:
 @dataclass
 class GroebnerBasis:
     """Basis elements, each split by x-monomial once: its leading
-    x-monomial, the parameter polynomial there, and the rest of the split
-    (x-monomial -> parameter polynomial), which reductions shift."""
+    x-monomial, the coefficient there, and the rest of the split
+    (x-monomial -> coefficient), which reductions shift; lead_inverses
+    holds 1/lead where the lead is rational and None elsewhere.
 
+    The coefficients are parameter polynomials, or, for a basis specialised
+    at the point ``at`` (from ``VarTable.resolve``), rationals: every
+    polynomial reduced by such a basis is split at that point."""
+
+    vt: object
     elements: list
+    at: tuple = None
     lead_monomials: list = field(init=False)
     lead_coeffs: list = field(init=False)
+    lead_inverses: list = field(init=False)
     tails: list = field(init=False)
 
     def __post_init__(self):
         elements, self.elements = self.elements, []
-        self.lead_monomials, self.lead_coeffs, self.tails = [], [], []
+        self.lead_monomials, self.lead_coeffs = [], []
+        self.lead_inverses, self.tails = [], []
         for g in elements:
             self.append(g)
 
+    def split(self, p):
+        """p by x-monomial, with coefficients in this basis's domain."""
+        return _split_x(p) if self.at is None else _split_at(p, self.at)
+
+    def join(self, split):
+        """The polynomial whose split is ``split``."""
+        return (_join if self.at is None else _join_at)(self.vt, split)
+
+    def const(self, c):
+        """The rational c as a coefficient of this basis's domain."""
+        return Polynomial.const(self.vt, c) if self.at is None else Fraction(c)
+
     def append(self, g):
-        tail = _split_x(g)
+        tail = self.split(g)
         lm = max(tail, key=degrevlex_key)
+        self._add(g, lm, tail.pop(lm), tail)
+
+    def _add(self, g, lm, lead, tail):
         self.elements.append(g)
         self.lead_monomials.append(lm)
-        self.lead_coeffs.append(tail.pop(lm))
+        self.lead_coeffs.append(lead)
+        if self.at is not None:
+            self.lead_inverses.append(1 / lead)
+        else:
+            self.lead_inverses.append(1 / lead.constant_value()
+                                      if lead.is_constant else None)
         self.tails.append(tail)
 
-    @property
-    def vt(self):
-        return self.elements[0].vt
+    def require_rational_leads(self):
+        """Normal forms at a point are read off this basis only if every
+        leading coefficient is a nonzero rational. A parameter polynomial
+        lead may vanish at the point, and the quotient changes there."""
+        for g, lead, inv in zip(self.elements, self.lead_coeffs,
+                                self.lead_inverses):
+            if inv is None:
+                raise NonConstantScaleError(
+                    "normal forms at a point need rational leading "
+                    "coefficients; the Groebner basis element %s has the "
+                    "leading coefficient %s" % (g, lead))
+
+    def specialise(self, at):
+        """This basis at a point from ``VarTable.resolve``, over Q.
+
+        Every lead is rational (``require_rational_leads``), so each element
+        keeps its leading monomial, the reducer of every step depends only on
+        the monomial, and each step is linear with the same rational factor:
+        reducing by this basis is reducing by the parametric one and then
+        evaluating at the point (Kalkbrener, "On the stability of Groebner
+        bases under specializations", J. Symbolic Comput. 1997)."""
+        self.require_rational_leads()
+        gb = GroebnerBasis(self.vt, [], at)
+        for lm, lead, tail in zip(self.lead_monomials, self.lead_coeffs,
+                                  self.tails):
+            lead = lead.constant_value()
+            tail = {xm: v for xm, c in tail.items() if (v := c.value_at(at))}
+            gb._add(_join_at(self.vt, {lm: lead, **tail}), lm, lead, tail)
+        return gb
 
 
 @dataclass
@@ -158,6 +255,11 @@ class QuotientBasis:
     def mu(self):
         return len(self.monomials)
 
+    @cached_property
+    def index(self):
+        """x-exponents -> position in the basis."""
+        return {m: l for l, m in enumerate(self.monomials)}
+
     def polynomials(self):
         pad = (0,) * (self.vt.nvars - self.vt.nx)
         return [Polynomial._raw(self.vt, {m + pad: Fraction(1)})
@@ -168,14 +270,18 @@ def reduce_poly(p, gb):
     """Extended pseudo-reduction of p by a (Groebner) basis; by a Groebner
     basis the remainder is p's normal form, on standard monomials only.
 
-    p is split by x-monomial once, and its x-monomials wait in a heap,
-    largest first, as in ``poly.exact_divide``. A popped monomial divisible
-    by a leading monomial is reduced by the first such element, which
-    brings in only smaller monomials; any other is final and stays."""
+    One loop serves both coefficient domains: the parameter polynomials,
+    and the rationals of a basis specialised at a point, where p is split
+    at that point. p is split by x-monomial once, and its x-monomials wait
+    in a heap, largest first, as in ``poly.exact_divide``. A popped
+    monomial divisible by a leading monomial is reduced by the first such
+    element, which brings in only smaller monomials; any other is final
+    and stays. A rational lead divides; a parameter polynomial lead
+    multiplies the remainder, the cofactors and the scale instead."""
     vt = p.vt
     scale = Polynomial.const(vt, 1)
     cof = [{} for _ in gb.elements]  # splits of the cofactors
-    r = _split_x(p)
+    r = gb.split(p)
     heap = [(_heap_key(xm), xm) for xm in r]
     heapify(heap)
     while heap:
@@ -190,10 +296,11 @@ def reduce_poly(p, gb):
         else:
             continue  # irreducible: part of the remainder
         del r[xm]
-        lead = gb.lead_coeffs[gi]
-        if lead.is_constant:
-            factor = c * (1 / lead.constant_value())
+        inverse = gb.lead_inverses[gi]
+        if inverse is not None:
+            factor = c * inverse
         else:
+            lead = gb.lead_coeffs[gi]
             r = {m: lead * v for m, v in r.items()}
             scale = scale * lead
             cof = [{m: lead * v for m, v in ci.items()} for ci in cof]
@@ -204,8 +311,7 @@ def reduce_poly(p, gb):
             mm = monomial_mul(d, tm)
             if _add_into(r, mm, neg * tc):
                 heappush(heap, (_heap_key(mm), mm))
-    return ReductionCertificate(_join(vt, r), [_join(vt, ci) for ci in cof],
-                                scale)
+    return ReductionCertificate(gb, r, cof, scale)
 
 
 def _s_poly(gb, i, j):
@@ -223,7 +329,8 @@ def _s_poly(gb, i, j):
 
 def buchberger(ideal):
     """Reduced Groebner basis over the fraction field of the parameter ring."""
-    gb = GroebnerBasis([_strip_content(g) for g in ideal.generators])
+    gb = GroebnerBasis(ideal.generators[0].vt,
+                       [_strip_content(g) for g in ideal.generators])
     lms = gb.lead_monomials
     pairs = set(combinations(range(len(lms)), 2))
     while pairs:
@@ -266,9 +373,10 @@ def _interreduce(gb):
         if not any(monomial_div(lms[i], lms[j]) is not None for j in keep):
             keep.append(i)
     # reduce each by the others: its lead stays, and so the order by lead
-    reduced = GroebnerBasis([])
+    reduced = GroebnerBasis(gb.vt, [])
     for i in keep:
-        others = GroebnerBasis([gb.elements[j] for j in keep if j != i])
+        others = GroebnerBasis(gb.vt, [gb.elements[j] for j in keep
+                                       if j != i])
         cert = reduce_poly(gb.elements[i], others)
         reduced.append(_strip_content(cert.remainder))
     return reduced
@@ -315,7 +423,8 @@ def standard_basis(gb, ordering_hint=None):
 
 
 def remainder_coordinates(cert, qb):
-    """Coordinates of a remainder in the standard-monomial basis.
+    """Coordinates of a remainder in the standard-monomial basis, read off
+    its split, in the domain of the basis that reduced it.
 
     The certificate scale must be constant for the coordinates to be
     parameter polynomials; a nonconstant scale raises. A constant scale is
@@ -323,14 +432,11 @@ def remainder_coordinates(cert, qb):
     remainder's coefficients are the coordinates.
     """
     cert.require_constant_scale()
-    split = _split_x(cert.remainder)
-    coords = []
-    for m in qb.monomials:
-        c = split.pop(m, None)
-        coords.append(Polynomial.zero(qb.vt) if c is None else c)
-    if split:
+    split = cert.split
+    if not split.keys() <= qb.index.keys():
         raise ValueError("remainder has support outside the standard basis")
-    return coords
+    zero = cert.gb.const(0)
+    return [split.get(m, zero) for m in qb.monomials]
 
 
 def coordinates(p, gb, qb):

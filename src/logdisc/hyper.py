@@ -96,7 +96,7 @@ def hessian_determinant(F):
 
 def hessian_forms(tau, T, f, h):
     """B^H and the trace form of f h, f and h the coordinates of F (or of
-    a multiple of F) and of the Hessian determinant, on row lists as
+    a multiple of F) and of the Hessian determinant, tau and T as in
     ``trace_form``. By the product rule (B^H f)_l = sum_m tr(h e_l e_m) f_m
     = tr(f h e_l), so the trace form of f h is ``trace_form`` with B^H in
     place of T."""
@@ -111,7 +111,7 @@ def trace_forms(spec, tables, sigma):
     h = coordinates(hessian_determinant(spec.F), tables.gb, tables.phi)
     T = tables.T
     BH, BHF = (PolyMatrix(spec.F.vt, m) for m in hessian_forms(
-        [t.entries for t in tables.tau], T.entries, sigma.entries[0], h))
+        tables.sparse_tau, T.entries, sigma.entries[0], h))
     return TraceForms(T, BH, BHF)
 
 

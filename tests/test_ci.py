@@ -2,6 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import is_symmetric
 from logdisc import ci
@@ -208,3 +209,99 @@ def test_connection_coefficients_divergence_identity(ex1):
         for i in range(4):
             for l in range(4):
                 assert Bj[i, l].degree_in("u") <= 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse symmetric contraction against dense references
+
+VT_S = VarTable(("x",), ("u", "a"))
+
+
+def dense_form(tau, coeffs, zero):
+    """sum_l coeffs_l * tau^l, entry by entry over all mu^3 terms."""
+    mu = len(tau)
+    return [[sum((c * t[i][j] for c, t in zip(coeffs, tau)), zero)
+             for j in range(mu)] for i in range(mu)]
+
+
+def dense_rows(tau, coeffs, zero):
+    """Row i: the coordinates of (sum_l coeffs_l e_l) * e_i."""
+    mu = len(tau)
+    return [[sum((c * tau[m][l][i] for l, c in enumerate(coeffs)), zero)
+             for m in range(mu)] for i in range(mu)]
+
+
+def dense_traces(tau, zero):
+    return [sum((t[r][l] for l, t in enumerate(tau)), zero)
+            for r in range(len(tau))]
+
+
+def sparse(tau, zero):
+    """The SparseTau of a dense symmetric tau."""
+    mu = len(tau)
+    pairs = [(i, j, tuple((l, t[i][j]) for l, t in enumerate(tau)
+                          if t[i][j]))
+             for i in range(mu) for j in range(i, mu)]
+    return ci.SparseTau(mu, pairs, {}, zero)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+param_polys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(0, 2), st.integers(0, 1)),
+    st.integers(-2, 2), max_size=3).map(lambda d: Polynomial(VT_S, d))
+
+
+@st.composite
+def contractions(draw):
+    """A symmetric tau over Q or over Q[u, a], with zero slices and zero
+    entries, and coefficients with zeros, for mu from 1 to 6."""
+    if draw(st.booleans()):
+        entries, zero = small_rationals, Fraction(0)
+    else:
+        entries, zero = param_polys, Polynomial.zero(VT_S)
+    entries = st.one_of(st.just(zero), entries)
+    mu = draw(st.integers(1, 6))
+    tau = [[[zero] * mu for _ in range(mu)] for _ in range(mu)]
+    for l in range(mu):
+        if draw(st.booleans()):
+            continue  # a zero slice
+        for i in range(mu):
+            for j in range(i, mu):
+                tau[l][i][j] = tau[l][j][i] = draw(entries)
+    coeffs = draw(st.lists(entries, min_size=mu, max_size=mu))
+    return tau, coeffs, zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(contractions())
+def test_sparse_contraction_equals_dense(case):
+    tau, coeffs, zero = case
+    sp = sparse(tau, zero)
+    assert sp.dense() == tau
+    assert ci.tau_form(sp, coeffs) == dense_form(tau, coeffs, zero)
+    assert ci.multiplication_rows(sp, coeffs) == \
+        dense_rows(tau, coeffs, zero)
+    assert ci.traces(sp) == dense_traces(tau, zero)
+    T = dense_form(tau, dense_traces(tau, zero), zero)
+    assert ci.trace_form(sp, T, coeffs) == dense_form(
+        tau, [sum((x * y for x, y in zip(row, coeffs)), zero) for row in T],
+        zero)
+    for rows in (ci.tau_form(sp, coeffs),
+                 ci.multiplication_rows(sp, coeffs)):
+        assert all(type(e) is type(zero) for row in rows for e in row)
+
+
+def test_structure_constants_take_one_normal_form_per_product(e6):
+    """e6 needs 9 normal forms for its 21 pairs; a product that is a basis
+    monomial is a unit column."""
+    tau = e6.tables.sparse_tau
+    assert len(tau.pairs) == 21
+    assert len(tau.normal_forms) == 9
+    index = e6.tables.phi.index
+    for i, j, col in tau.pairs:
+        m = tuple(a + b for a, b in zip(e6.tables.phi.monomials[i],
+                                        e6.tables.phi.monomials[j]))
+        if m in index:
+            assert col == ((index[m], Polynomial.const(e6.vt, 1)),)
+        else:
+            assert col is tau.normal_forms[m]

@@ -221,6 +221,44 @@ def test_malformed_ci_basis_is_refused(tmp_path, capsys, argv, basis_line,
     assert err == "error: %s\n" % message
 
 
+PARAMETRIC_LEAD = {
+    # no normal form divides by the lead t1, so ci-tables succeeds
+    "unused": 'maps = ["x1^2 - u", "t1*x2 + 1"]\n',
+    # the first map's normal form divides by t1 twice
+    "used": 'maps = ["x1^2 + x2^2 - u", "t1*x1 + 1"]\n',
+}
+
+
+@pytest.mark.parametrize("lead", sorted(PARAMETRIC_LEAD))
+def test_point_commands_refuse_a_parametric_lead(tmp_path, capsys, lead):
+    """A point's normal forms are read off the specialised Groebner basis,
+    which needs rational leads: the point commands refuse the lead t1
+    before the point is read, and the parametric ci-tables keeps its
+    answer."""
+    path = tmp_path / "lead.ls"
+    path.write_text("kind = complete-intersection\nx_vars = [x1, x2]\n"
+                    "params = [u, t1]\n" + PARAMETRIC_LEAD[lead])
+    element = {"unused": "x2*t1 + 1", "used": "x1*t1 + 1"}[lead]
+    for command in ("ci-count", "oracle-check"):
+        for params in ("u=2,t1=3", "u=2,t1=x"):
+            code, out, err = run(capsys, command, str(path), "--params",
+                                 params)
+            assert (code, out) == (1, ""), command
+            assert err == ("error: normal forms at a point need rational "
+                           "leading coefficients; the Groebner basis "
+                           "element %s has the leading coefficient t1\n"
+                           % element), command
+            assert "Traceback" not in err
+    code, out, err = run(capsys, "ci-tables", str(path))
+    if lead == "unused":
+        assert (code, err) == (0, "")
+        assert out == "mu = 1\nbasis = 1\nP:\n  [-u]\nT:\n  [1]\n"
+    else:
+        assert (code, out) == (1, "")
+        assert err == ("error: normal form needs division by the parameter "
+                       "polynomial t1^2\n")
+
+
 @pytest.mark.parametrize("family", ["a5", "d5"])
 def test_maxwell_finishes_on_mu_5(family):
     proc = subprocess.run(
@@ -451,7 +489,7 @@ def test_table_queries_never_build_P(monkeypatch, capsys):
     real = ci.multiplication_rows
 
     def spy(tau, coeffs):
-        calls.append(len(tau))
+        calls.append(tau.mu)
         return real(tau, coeffs)
 
     for mod in list(sys.modules.values()):

@@ -130,6 +130,33 @@ def test_certificate_identity(q):
     assert recon == cert.scale * q
 
 
+def test_coordinates_build_no_cofactor(monkeypatch):
+    """coordinates reads the remainder's split: no cofactor polynomial, and
+    no remainder polynomial, is joined; the certificate joins its
+    cofactors on first read."""
+    gb = jac6()
+    qb = standard_basis(gb)
+    joins = []
+    real = groebner._join
+    monkeypatch.setattr(groebner, "_join",
+                        lambda vt, split: joins.append(split) or
+                        real(vt, split))
+    p = parse_poly("x^3*y^2 + a*x^2*y + 5", VT6)
+    coords = coordinates(p, gb, qb)
+    assert joins == []
+    cert = reduce_poly(p, gb)
+    assert joins == []
+    cofactors = cert.cofactors
+    assert len(joins) == len(gb.elements)
+    assert cert.cofactors is cofactors
+    recon = cert.remainder
+    for cof, g in zip(cofactors, gb.elements):
+        recon = recon + cof * g
+    assert recon == p
+    assert sum((c * e for c, e in zip(coords, qb.polynomials())),
+               Polynomial.zero(VT6)) == cert.remainder
+
+
 @settings(max_examples=30, deadline=None)
 @given(vt1_polys())
 def test_normal_form_idempotent(q):
@@ -211,6 +238,7 @@ def test_constant_scale_is_one(monkeypatch, name):
 
     monkeypatch.setattr(groebner, "reduce_poly", spy)
     loaded = LoadedSpec(read_input_file("fixtures/%s.ls" % name))
+    loaded.algebra.tau
     loaded.algebra.first_map_coords
     constant = [c for c in certs if c.scale_is_constant]
     assert constant

@@ -120,8 +120,8 @@ def weighted_log_matrix(b):
     """The weighted closed form: multiplication by sum_l w(s_l) * s_l,
     built from tau apart from log_matrix's Euler-relation check."""
     euler = [w * b.p(name) for w, name in zip(b.ws.s_weights, b.spec.params)]
-    return PolyMatrix(b.vt, ci.multiplication_rows(
-        [t.entries for t in b.tables.tau], euler))
+    return PolyMatrix(b.vt, ci.multiplication_rows(b.tables.sparse_tau,
+                                                   euler))
 
 
 def test_log_matrix_weighted_agrees_with_normal_form(ex1):

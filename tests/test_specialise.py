@@ -5,11 +5,13 @@ minors that generate the minor ideal."""
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from logdisc import ci, cli, hyper, matrix
@@ -54,18 +56,18 @@ def scaled(rows, k):
 
 
 def at_point(tables, point, sign):
-    """tau, T and sign * c at the point, as the point commands form them."""
+    """The algebra at the point and sign * c there, as the point commands
+    form them."""
     args = argparse.Namespace(params=params_text(point))
-    return cli._at_point(tables, args, sign)[1:]
+    return cli._at_point(tables, args, sign)
 
 
 def check_hypersurface(b, path, point):
-    tau, T, f = at_point(b.tables, point, -1)
+    at, f = at_point(b.tables, point, -1)
+    tau, T = at.tau, at.T
     form = ci.trace_form(tau, T, f)
-    at = b.vt.resolve(point)
-    h = coordinates(hyper.hessian_determinant(b.spec.F.evaluate(point)),
-                    b.tables.gb, b.tables.phi)
-    bh, bhf = hyper.hessian_forms(tau, T, f, [e.value_at(at) for e in h])
+    h = at.coordinates(hyper.hessian_determinant(b.spec.F.evaluate(point)))
+    bh, bhf = hyper.hessian_forms(tau, T, f, h)
     # -P, evaluated from the parametric P, is multiplication by F there
     minus_P = [[-e for e in row] for row in b.tables.P.values(point)]
     assert form == mat_mul(minus_P, T)
@@ -142,8 +144,9 @@ PARABOLA = ci.CISpec(
 
 
 def check_ci(tables, path, point):
-    tau, T, c = at_point(tables, point, 1)
-    form = ci.trace_form(tau, T, c)
+    at, c = at_point(tables, point, 1)
+    T = at.T
+    form = ci.trace_form(at.tau, T, c)
     assert form == mat_mul(tables.P.values(point), T)
     pt0 = SymMatrixQ.from_poly_matrix(tables.P * tables.T, point)
     assert SymMatrixQ(form) == pt0
@@ -243,38 +246,118 @@ def test_point_commands_take_each_inertia_once(monkeypatch):
 
 
 def test_point_commands_build_nothing_parametric(monkeypatch):
-    """Point commands evaluate tau and the first map's coordinates and form
-    each trace form over Q from them: no weight system, no Sigma and no P
-    is built."""
+    """Point commands specialise the Groebner basis and form every trace
+    form over Q: the parametric tau, zeta, T, P and first map's coordinates
+    are never built, nor a weight system or Sigma. At the point each
+    distinct product of basis monomials outside the basis takes one normal
+    form, and the first map one more (the Hessian determinant one more for
+    euler and a plane oracle-check)."""
     form_args = []
     unused = []
     real_form = ci.tau_form
 
     def form_spy(tau, coeffs):
-        form_args.append([e for t in tau for row in t for e in row]
-                         + list(coeffs))
+        form_args.append([v for _, _, col in tau.pairs for _, v in col]
+                         + [tau.zero] + list(coeffs))
         return real_form(tau, coeffs)
 
     monkeypatch.setattr(ci, "tau_form", form_spy)
-    monkeypatch.setattr(ci, "multiplication_rows",
-                        lambda *a: unused.append("multiplication_rows"))
+    for name in ("sparse_tau", "tau", "zeta", "T", "P", "first_map_coords"):
+        monkeypatch.setattr(ci.CITables, name, property(
+            lambda self, name=name: unused.append(name)))
     for name in ("log_matrix", "derive_weights"):
         real = getattr(hyper, name)
         monkeypatch.setattr(hyper, name, lambda *a, name=name, real=real:
                             unused.append(name) or real(*a))
 
+    reduced = []
+    in_tau = []
+    real_coordinates, real_constants = ci.coordinates, ci.structure_constants
+
+    def coordinates_spy(p, gb, qb):
+        assert gb.at is not None
+        reduced.append((bool(in_tau), p))
+        return real_coordinates(p, gb, qb)
+
+    def constants_spy(gb, qb):
+        in_tau.append(True)
+        try:
+            return real_constants(gb, qb)
+        finally:
+            in_tau.pop()
+
+    monkeypatch.setattr(ci, "coordinates", coordinates_spy)
+    monkeypatch.setattr(ci, "structure_constants", constants_spy)
+
     points = {"a2": "u=0,b=-3", "example1": "u=1,d=1,c=-1,b=2",
               "e6": "u=-10,a=3,b=-2/5,c=1/10,d=1/10,g=-1/10",
               "ci_parabola": "u=3,t1=1,t2=2"}
     for name, point in points.items():
+        path = f"{FIX}/{name}.ls"
+        monos = cli.LoadedSpec(cli.read_input_file(path)).algebra.phi.monomials
+        nx = len(monos[0])
+        products = {tuple(a + b for a, b in zip(mi, mj))
+                    for i, mi in enumerate(monos) for mj in monos[i:]}
+        outside = products - set(monos)
         commands = ("ci-count", "oracle-check")
         if name != "ci_parabola":
             commands += ("count", "euler")
         for command in commands:
             form_args.clear()
-            argv = (command, f"{FIX}/{name}.ls", "--params", point)
+            reduced.clear()
+            argv = (command, path, "--params", point)
             assert run_cli(*argv)[0] == 0, argv
             assert form_args, argv
             assert all(isinstance(e, (int, Fraction))
                        for args in form_args for e in args), argv
+            forms = [p.lead_monomial()[:nx] for in_sc, p in reduced if in_sc]
+            assert len(forms) == len(outside) and set(forms) == outside, argv
+            hessian = command == "euler" or (command == "oracle-check"
+                                              and name != "ci_parabola")
+            assert len(reduced) - len(forms) == 1 + hessian, argv
     assert unused == []
+
+
+FAMILY_FILES = [f"{FIX}/{name}.ls" for name in
+                ("a1", "a2", "example1", "e6", "ci_k2", "ci_parabola")] + \
+               [f"perfbench/families/{name}.ls" for name in
+                ("a3", "a4", "a5", "a6", "d4", "d5", "k2")]
+
+
+@functools.cache
+def parametric(path):
+    """One input file's loaded spec and, for a hypersurface, the
+    coordinates h of its parametric Hessian determinant (else None)."""
+    loaded = cli.LoadedSpec(cli.read_input_file(path))
+    if loaded.kind != "hypersurface":
+        return loaded, None
+    algebra = loaded.algebra
+    return loaded, coordinates(hyper.hessian_determinant(loaded.spec.F),
+                               algebra.gb, algebra.phi)
+
+
+@pytest.mark.parametrize("path", FAMILY_FILES)
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_point_algebra_equals_evaluated_parametric(path, data):
+    """tau, zeta, T, c and h from the Groebner basis specialised at a
+    point equal the parametric ones evaluated there, entry by entry:
+    specialising commutes with reduction when every lead is rational."""
+    loaded, h = parametric(path)
+    algebra = loaded.algebra
+    vt = algebra.phi.vt
+    point = {s: data.draw(rationals, label=s) for s in vt.s_vars}
+    at_vt = vt.resolve(point)
+    at = ci.PointTables(algebra, point)
+    assert at.tau.dense() == [t.values(point) for t in algebra.tau]
+    assert at.zeta == [z.value_at(at_vt) for z in algebra.zeta]
+    assert at.T == algebra.T.values(point)
+    assert at.first_map_coords == [e.value_at(at_vt)
+                                   for e in algebra.first_map_coords]
+    if h is not None:
+        F = loaded.spec.F
+        assert at.coordinates(hyper.hessian_determinant(F.evaluate(point))) \
+            == [e.value_at(at_vt) for e in h]
+        # the specialised basis also reduces the parametric Hessian
+        assert at.coordinates(hyper.hessian_determinant(F)) \
+            == [e.value_at(at_vt) for e in h]
